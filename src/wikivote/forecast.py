@@ -17,7 +17,7 @@ import numpy as np
 from .errors import ComputationError, CurationWarning
 from .features import FeatureRow, relative_change, subset_small
 from .ingest import PageViewSeries
-from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson
+from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson, qr_least_squares
 
 BASE_TERMS = ("Intercept", "News", "New Party", "Incumbency", "News x Incumbency")
 WIKI_TERMS = ("Wikipedia", "New Party x Wikipedia")
@@ -254,14 +254,14 @@ def predict(report: ModelReport, new_rows) -> list[float]:
 
 def _studentized_residuals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Internally studentized residuals of the straight-line fit y ~ x."""
-    design = np.column_stack([np.ones(len(x)), x])
-    beta, *_ = np.linalg.lstsq(design, y, rcond=None)
-    resid = y - design @ beta
     dof = len(x) - 2
     if dof <= 0:
         return np.full(len(x), np.nan)
+    design = np.column_stack([np.ones(len(x)), x])
+    q, _, beta = qr_least_squares(design, y)
+    resid = y - design @ beta
     s2 = float(resid @ resid) / dof
-    hat = (design * (design @ np.linalg.inv(design.T @ design))).sum(axis=1)
+    hat = (q * q).sum(axis=1)
     denom = np.sqrt(np.maximum(s2 * (1.0 - hat), 1e-300))
     return resid / denom
 

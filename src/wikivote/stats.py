@@ -1,9 +1,9 @@
 """From-scratch least-squares machinery and significance tests.
 
-Everything here is hand-rolled on top of plain numpy arrays: Householder QR
-with back-substitution for the solve, the R-factor inverse for standard
-errors, and Student-t tail probabilities via the regularized incomplete beta
-function evaluated with a modified Lentz continued fraction.
+Everything here is hand-rolled on top of plain numpy arrays: reduced
+Householder QR with back-substitution for the solve, the R-factor inverse for
+standard errors, and Student-t tail probabilities via the regularized
+incomplete beta function evaluated with a modified Lentz continued fraction.
 """
 
 from __future__ import annotations
@@ -106,16 +106,19 @@ class CorrelationResult:
 
 
 def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Factor a (m x n, m >= n) into Q (m x m, orthogonal) and R (m x n).
+    """Reduced QR of a (m x n, m >= n): Q (m x n, orthonormal columns), R (n x n).
 
     Classic Householder reflections, applied column by column; the reflector
-    sign is chosen to avoid cancellation.
+    sign is chosen to avoid cancellation. The reflectors are kept and applied
+    in reverse to the first n columns of the identity, so Q costs O(mn^2)
+    time and O(mn) memory and no m x m array is formed.
     """
     a = np.asarray(a, dtype=float)
     m, n = a.shape
+    p = min(m, n)
     r = a.copy()
-    q = np.eye(m)
-    for j in range(min(m, n)):
+    reflectors = []
+    for j in range(p):
         x = r[j:, j]
         norm_x = float(np.linalg.norm(x))
         if norm_x == 0.0:
@@ -123,9 +126,12 @@ def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         v = x.copy()
         v[0] += norm_x if x[0] >= 0 else -norm_x
         v /= np.linalg.norm(v)
-        r[j:, :] -= 2.0 * np.outer(v, v @ r[j:, :])
-        q[:, j:] -= 2.0 * np.outer(q[:, j:] @ v, v)
-    return q, r
+        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
+        reflectors.append((j, v))
+    q = np.eye(m, p)
+    for j, v in reversed(reflectors):
+        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
+    return q, np.triu(r[:p])
 
 
 def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -146,12 +152,20 @@ def _upper_triangular_inverse(r: np.ndarray) -> np.ndarray:
     return inv
 
 
-def _check_rank(r_diag: np.ndarray, column_names) -> None:
-    tol = RANK_TOL * float(np.abs(r_diag).max(initial=0.0))
-    for j, d in enumerate(np.abs(r_diag)):
+def qr_least_squares(values: np.ndarray, y: np.ndarray, column_names=None):
+    """Thin Q, R and the least-squares coefficients of y on the columns of values.
+
+    Raises SingularityError naming the first column whose R diagonal is
+    below RANK_TOL times the largest; column_names=None names it by index.
+    """
+    q, r = householder_qr(values)
+    r_diag = np.abs(np.diag(r))
+    tol = RANK_TOL * float(r_diag.max(initial=0.0))
+    for j, d in enumerate(r_diag):
         if d < tol or d == 0.0:
             name = column_names[j] if column_names is not None else f"column {j}"
             raise SingularityError(str(name))
+    return q, r, _back_substitute(r, q.T @ y)
 
 
 def qr_solve(x, y: np.ndarray) -> np.ndarray:
@@ -165,13 +179,10 @@ def qr_solve(x, y: np.ndarray) -> np.ndarray:
     else:
         values, names = np.asarray(x, dtype=float), None
     y = np.asarray(y, dtype=float)
-    n, k = values.shape
+    n = values.shape[0]
     if y.shape != (n,):
         raise ValueError(f"response length {y.shape} does not match {n} rows")
-    q, r = householder_qr(values)
-    _check_rank(np.diag(r)[:k], names)
-    qty = q.T @ y
-    return _back_substitute(r[:k, :k], qty[:k])
+    return qr_least_squares(values, y, names)[2]
 
 
 def ols_fit(x, y: np.ndarray, *, sides: str = "two") -> FitResult:
@@ -179,8 +190,10 @@ def ols_fit(x, y: np.ndarray, *, sides: str = "two") -> FitResult:
 
     Accepts a DesignMatrix or a plain 2-D array. Standard errors come from
     the R-factor inverse (never explicit normal equations); r2 is computed
-    against the centered response.
+    against the centered response. sides="one" halves every p-value.
     """
+    if sides not in ("two", "one"):
+        raise ValueError(f"sides must be 'two' or 'one', got {sides!r}")
     if isinstance(x, DesignMatrix):
         values, names = x.values, x.column_names
     else:
@@ -196,15 +209,13 @@ def ols_fit(x, y: np.ndarray, *, sides: str = "two") -> FitResult:
     if sst == 0.0:
         raise ComputationError("degenerate response: zero variance in y")
 
-    q, r = householder_qr(values)
-    _check_rank(np.diag(r)[:k], names)
-    beta = _back_substitute(r[:k, :k], (q.T @ y)[:k])
+    _, r, beta = qr_least_squares(values, y, names)
 
     residuals = y - values @ beta
     ssr = float(residuals @ residuals)
     df_resid = n - k
     sigma2 = ssr / df_resid
-    r_inv = _upper_triangular_inverse(r[:k, :k])
+    r_inv = _upper_triangular_inverse(r)
     xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
     se = np.sqrt(sigma2 * xtx_inv_diag)
 
@@ -282,30 +293,44 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
         raise ValueError(f"x must be in [0, 1], got {x}")
     if a <= 0.0 or b <= 0.0:
         raise ValueError("a and b must be positive")
+    return _incomplete_beta(a, b, x, 1.0 - x)
+
+
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """I_x(a, b) given both x and y = 1 - x.
+
+    Taking y from the caller keeps its relative precision when x rounds to
+    (or near) 1, where 1.0 - x would lose it.
+    """
     if x == 0.0:
         return 0.0
-    if x == 1.0:
+    if y == 0.0:
         return 1.0
-    ln_front = (
-        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-        + a * math.log(x) + b * math.log1p(-x)
-    )
+    if x <= 0.5:
+        ln_x, ln_y = math.log(x), math.log1p(-x)
+    else:
+        ln_x, ln_y = math.log1p(-y), math.log(y)
+    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * ln_x + b * ln_y
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
-    return 1.0 - front * _beta_continued_fraction(b, a, 1.0 - x) / b
+    return 1.0 - front * _beta_continued_fraction(b, a, y) / b
 
 
 def student_t_two_sided_p(t: float, df: float) -> float:
-    """P(|T_df| >= |t|) via I_x(df/2, 1/2) with x = df/(df + t^2)."""
+    """P(|T_df| >= |t|) via I_x(df/2, 1/2) with x = df/(df + t^2).
+
+    1 - x is passed as t^2/(df + t^2), so a |t| too small to move x off 1.0
+    still gives p < 1.
+    """
     if df < 1:
         raise ValueError(f"degrees of freedom must be >= 1, got {df}")
     if math.isnan(t):
         raise ValueError("t statistic is NaN")
     if math.isinf(t):
         return 0.0
-    x = df / (df + t * t)
-    return regularized_incomplete_beta(df / 2.0, 0.5, x)
+    t2 = t * t
+    return _incomplete_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
 
 
 def student_t_critical(alpha_two_sided: float, df: float) -> float:

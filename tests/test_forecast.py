@@ -7,6 +7,8 @@ from datetime import date, timedelta
 import numpy as np
 import pytest
 
+from conftest import DATA_DIR
+from wikivote.cli import load_turnout_csv
 from wikivote.errors import ComputationError, CurationWarning
 from wikivote.features import FeatureRow
 from wikivote.forecast import (
@@ -262,6 +264,20 @@ class TestTurnoutAnalysis:
         report = turnout_analysis(self.perfect_records())
         for ratio in report.ratios:
             assert ratio.studentized_residual is not None
+
+    def test_studentized_residuals_match_hat_matrix_oracle(self):
+        report = turnout_analysis(load_turnout_csv(DATA_DIR / "demo_turnout.csv"))
+        included = [r for r in report.ratios if not r.outlier]
+        x = np.array([r.views_change for r in included])
+        y = np.array([r.turnout_change for r in included])
+        design = np.column_stack([np.ones(len(x)), x])
+        hat = design @ np.linalg.solve(design.T @ design, design.T)
+        resid = y - hat @ y
+        s2 = resid @ resid / (len(x) - 2)
+        expected = resid / np.sqrt(s2 * (1.0 - np.diag(hat)))
+        got = [r.studentized_residual for r in included]
+        assert len(got) == 12
+        assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
     def test_needs_three_included_records(self):
         records = self.perfect_records()[:2] + [

@@ -1,11 +1,14 @@
 """Least-squares and significance machinery against independent references.
 
 Reference values come from numpy.linalg for the linear algebra and from
-closed forms / the complementary error function for the t distribution,
-so nothing here is checked against its own implementation.
+closed forms / the complementary error function / scipy.stats.t (a test-only
+dependency) for the t distribution, so nothing here is checked against its
+own implementation.
 """
 
 import math
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -41,7 +44,8 @@ class TestHouseholderQR:
         rng = np.random.default_rng(2)
         a = rng.normal(size=(12, 4))
         q, _ = householder_qr(a)
-        assert np.allclose(q.T @ q, np.eye(12), atol=1e-12)
+        assert q.shape == (12, 4)
+        assert np.allclose(q.T @ q, np.eye(4), atol=1e-12)
 
     def test_r_is_upper_triangular(self):
         rng = np.random.default_rng(3)
@@ -189,6 +193,34 @@ class TestOlsFit:
         for t2, t1 in zip(fit2.terms, fit1.terms):
             assert t1.p_value == pytest.approx(t2.p_value / 2.0, rel=1e-12)
 
+    def test_unknown_sides_rejected_before_fitting(self):
+        dm, y, _ = self.fit_noisy()
+        with pytest.raises(ValueError, match="sides"):
+            ols_fit(dm, y, sides="both")
+        # the argument is checked before the response, which would fail the fit
+        with pytest.raises(ValueError, match="sides"):
+            ols_fit(dm, np.full(dm.n, 7.0), sides="left")
+
+    def test_large_fit_allocates_thin_factors_only(self):
+        # n = 5 000: an m x m Q alone would take 200 MB; the thin Q takes 280 kB
+        rng = np.random.default_rng(12)
+        n, k = 5_000, 7
+        x = random_design(rng, n, k)
+        y = x @ rng.normal(size=k) + rng.normal(size=n)
+        dm = DesignMatrix(x, tuple(f"c{j}" for j in range(k)))
+        tracemalloc.start()
+        try:
+            fit = ols_fit(dm, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 5_000_000
+        beta = np.linalg.lstsq(x, y, rcond=None)[0]
+        resid = y - x @ beta
+        se = np.sqrt(resid @ resid / (n - k) * np.diag(np.linalg.inv(x.T @ x)))
+        assert np.allclose(fit.beta, beta, rtol=1e-8, atol=1e-8)
+        assert np.allclose([t.se for t in fit.terms], se, rtol=1e-8, atol=1e-8)
+
 
 class TestRegularizedIncompleteBeta:
     def test_limits(self):
@@ -253,6 +285,48 @@ class TestStudentT:
             student_t_two_sided_p(1.0, 0)
         with pytest.raises(ValueError):
             student_t_two_sided_p(math.nan, 5)
+
+
+class TestStudentTAgainstScipy:
+    """student_t_two_sided_p against 2 * scipy.stats.t.sf, at rtol 1e-8.
+
+    The grid crosses df from 1 to 10^6 with |t| from 0 to 40, including
+    |t| small enough that x = df / (df + t^2) rounds to 1. While 1 - x was
+    formed as 1.0 - x, that cancellation gave relative errors of 4.1e-9 at
+    df = 10^6, t = 0.01 and 8e-7 at df >= 10^4, t = 1e-6 (p came out as
+    exactly 1). With 1 - x passed in as t^2 / (df + t^2), the largest error
+    left is 5.6e-9 at df = 10^6, t = 1.7: cancellation between lgamma(a + 1/2)
+    and lgamma(a) at a = 5 * 10^5.
+
+    Below the smallest normal float scipy returns 0 where this code keeps a
+    subnormal tail (df = 10^5, t = 38 gives 1.0155e-313, as a 50-digit
+    mpmath evaluation also does), so there both only have to be below the
+    normal range; at t = 40 and df >= 10^4 both underflow to exactly 0.
+    """
+
+    DFS = (1, 2, 3, 5, 10, 30, 59, 100, 1e3, 1e4, 1e5, 1e6)
+    TS = (0.0, 1e-6, 1e-4, 1e-2, *np.linspace(0.05, 40.0, 800).tolist())
+
+    def test_matches_scipy_over_df_and_t(self):
+        scipy_t = pytest.importorskip("scipy.stats").t
+        failures = []
+        for df in self.DFS:
+            for t, expected in zip(self.TS, 2.0 * scipy_t.sf(self.TS, df)):
+                p = student_t_two_sided_p(t, df)
+                if expected >= sys.float_info.min:
+                    ok = abs(p - expected) <= 1e-8 * expected
+                else:
+                    ok = 0.0 <= p < sys.float_info.min
+                if not ok:
+                    failures.append((df, t, p, expected))
+        assert failures == []
+
+    def test_far_tail_underflows_to_zero_like_scipy(self):
+        scipy_t = pytest.importorskip("scipy.stats").t
+        for df in (1e4, 1e5, 1e6):
+            assert scipy_t.sf(40.0, df) == 0.0
+            assert student_t_two_sided_p(40.0, df) == 0.0
+            assert student_t_two_sided_p(-40.0, df) == 0.0
 
 
 class TestStudentTCritical:
