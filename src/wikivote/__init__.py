@@ -30,7 +30,6 @@ from .forecast import (
     ModelComparison,
     ModelReport,
     ModelSpec,
-    TurnoutRecord,
     TurnoutReport,
     attention_dynamics,
     build_design_matrix,
@@ -53,6 +52,7 @@ from .model import (
     Dataset,
     ElectionGroup,
     PartyObservation,
+    TurnoutRecord,
     validate_dataset,
     vote_change,
 )

@@ -24,19 +24,13 @@ from pathlib import Path
 
 from . import features as feats
 from . import forecast, ingest, stats
-from .errors import DataError, NetworkError, RowError, SchemaError
+from .errors import DataError, NetworkError
 from .model import validate_dataset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NETWORK = 4
-
-TURNOUT_COLUMNS = [
-    "language_edition", "views_prev", "views_curr",
-    "turnout_prev", "turnout_curr", "outlier",
-]
-SCENARIO_COLUMNS = ["party_id", "news_share", "wiki_share", "new_party", "incumbent"]
 
 
 def _atomic_write(path: Path, text: str) -> None:
@@ -140,10 +134,8 @@ def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
 def cmd_ingest(args, parser) -> int:
     pages: list[tuple[str, str]] = []
     if args.pages:
-        with open(args.pages, newline="", encoding="utf-8") as handle:
-            reader = csv.DictReader(handle)
-            for row in reader:
-                pages.append((row["wiki_project"], row["page_title"]))
+        table = ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list")
+        pages = [(project, title) for _, (project, title) in table]
     if args.project and args.title:
         pages.append((args.project, args.title))
     if not pages:
@@ -162,13 +154,7 @@ def cmd_ingest(args, parser) -> int:
     if not series:
         raise NetworkError("every page fetch failed")
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(ingest.PAGEVIEWS_COLUMNS)
-    for s in sorted(series, key=lambda s: s.key):
-        for day, views in s.daily.items():
-            writer.writerow([s.wiki_project, s.page_title, day.isoformat(), views])
-    _emit(buffer.getvalue(), args.out)
+    _emit(ingest.render_pageviews_csv(series), args.out)
     return EXIT_OK
 
 
@@ -229,32 +215,11 @@ def cmd_fit(args, parser) -> int:
     return EXIT_OK
 
 
-def _load_scenario(path) -> list:
-    from types import SimpleNamespace
-
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = [c for c in SCENARIO_COLUMNS if c not in fields]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {', '.join(missing)}")
-        rows = []
-        for row in reader:
-            rows.append(SimpleNamespace(
-                party_id=row["party_id"],
-                news_share=float(row["news_share"]),
-                wiki_share=float(row["wiki_share"]),
-                new_party=int(row["new_party"]),
-                incumbent=int(row["incumbent"]),
-            ))
-    return rows
-
-
 def cmd_predict(args, parser) -> int:
     training = _load_features(args)
     spec = forecast.ModelSpec.from_id(args.model)
     report = forecast.fit_model(training, spec, sides=args.sides)
-    scenario = _load_scenario(args.scenario)
+    scenario = ingest.load_scenario_csv(args.scenario)
 
     covariates = ["news_share", "new_party", "incumbent"]
     if spec.include_wikipedia:
@@ -286,32 +251,8 @@ def cmd_predict(args, parser) -> int:
     return EXIT_OK
 
 
-def load_turnout_csv(path) -> list[forecast.TurnoutRecord]:
-    with open(path, newline="", encoding="utf-8") as handle:
-        reader = csv.DictReader(handle)
-        fields = reader.fieldnames or []
-        missing = [c for c in TURNOUT_COLUMNS if c not in fields]
-        if missing:
-            raise SchemaError(f"{path}: missing columns {', '.join(missing)}")
-        records = []
-        for row in reader:
-            line = reader.line_num
-            try:
-                records.append(forecast.TurnoutRecord(
-                    language_edition=row["language_edition"],
-                    views_prev=int(row["views_prev"]),
-                    views_curr=int(row["views_curr"]),
-                    turnout_prev=float(row["turnout_prev"]),
-                    turnout_curr=float(row["turnout_curr"]),
-                    outlier=row["outlier"] == "1",
-                ))
-            except (TypeError, ValueError) as exc:
-                raise RowError(line, f"malformed turnout row: {exc}") from exc
-    return records
-
-
 def cmd_turnout(args, parser) -> int:
-    records = load_turnout_csv(args.records)
+    records = ingest.load_turnout_csv(args.records)
     result = forecast.turnout_analysis(records, sides=args.sides)
     corr = result.correlation
 
@@ -411,11 +352,7 @@ def cmd_attention(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    rows_obs = ingest.load_party_csv(args.dataset)
-    dataset = validate_dataset(rows_obs)
-    series = ingest.load_pageviews_csv(args.pageviews)
-    sums = feats.window_sums_from_series(dataset, series, args.window_days)
-    rows = feats.build_feature_rows(dataset, sums)
+    rows = _load_features(args)
     output_dir = Path(args.output_dir)
     config = {
         "dataset": str(args.dataset),
@@ -472,6 +409,16 @@ def cmd_report(args, parser) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+    return value
+
+
 def _date_arg(text: str) -> date:
     try:
         return date.fromisoformat(text)
@@ -501,7 +448,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_feature_inputs(p):
         p.add_argument("--dataset", required=True, help="party dataset CSV")
         p.add_argument("--pageviews", required=True, help="page-view CSV")
-        p.add_argument("--window-days", type=int, default=feats.WINDOW_DAYS,
+        p.add_argument("--window-days", type=_positive_int, default=feats.WINDOW_DAYS,
                        help="attention window length ending the day before the election")
 
     p_features = sub.add_parser("features", help="emit the regression covariate table")
@@ -536,7 +483,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attention = sub.add_parser("attention", help="build-up/decay rates per series")
     p_attention.add_argument("--pageviews", required=True, help="page-view CSV")
     p_attention.add_argument("--election-date", type=_date_arg, required=True)
-    p_attention.add_argument("--window-days", type=int,
+    p_attention.add_argument("--window-days", type=_positive_int,
                              default=forecast.ATTENTION_WINDOW_DAYS)
     p_attention.add_argument("--output-dir", default="wikivote-out")
     p_attention.set_defaults(func=cmd_attention)

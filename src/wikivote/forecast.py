@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ComputationError, CurationWarning
 from .features import FeatureRow, relative_change, subset_small
 from .ingest import PageViewSeries
+from .model import TurnoutRecord
 from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson, qr_least_squares
 
 BASE_TERMS = ("Intercept", "News", "New Party", "Incumbency", "News x Incumbency")
@@ -98,27 +99,6 @@ class ModelReport:
 class ModelComparison:
     delta_r2: float
     delta_adj_r2: float
-
-
-@dataclass(frozen=True)
-class TurnoutRecord:
-    """Aggregate attention and turnout for one language edition, two elections."""
-
-    language_edition: str
-    views_prev: int
-    views_curr: int
-    turnout_prev: float
-    turnout_curr: float
-    outlier: bool = False
-
-    def __post_init__(self):
-        if self.views_prev <= 0:
-            raise ValueError(f"{self.language_edition}: views_prev must be positive")
-        if self.views_curr < 0:
-            raise ValueError(f"{self.language_edition}: views_curr must be non-negative")
-        for label, value in (("turnout_prev", self.turnout_prev), ("turnout_curr", self.turnout_curr)):
-            if not 0.0 < value <= 100.0:
-                raise ValueError(f"{self.language_edition}: {label} {value} outside (0, 100]")
 
 
 @dataclass(frozen=True)

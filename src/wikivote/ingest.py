@@ -1,20 +1,23 @@
-"""Page-view acquisition (live REST client and offline CSV) and party loading.
+"""Page-view acquisition (live REST client and offline CSV) and the CSV inputs.
 
 Two acquisition paths exist on purpose: the live per-article endpoint only
 covers recent years, so historical series arrive as CSV dumps. Missing days
 are absent from a series, never zero-filled; window operations decide their
-own missing-data policy.
+own missing-data policy. Every CSV input (parties, page views, turnout
+records, scenarios, page lists) is read by read_table against a schema.
 """
 
 from __future__ import annotations
 
 import csv
+import io
 import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import date
+from typing import NamedTuple
 from urllib.parse import quote
 
 import requests
@@ -27,18 +30,12 @@ from .errors import (
     RateLimitError,
     RowError,
     SchemaError,
+    ValidationError,
 )
-from .model import PartyObservation
+from .model import PartyObservation, TurnoutRecord
 
 DEFAULT_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews/per-article"
 BASE_URL_ENV_VAR = "WIKIVOTE_PAGEVIEWS_BASE_URL"
-
-PAGEVIEWS_COLUMNS = ["wiki_project", "page_title", "date", "views"]
-PARTY_COLUMNS = [
-    "country", "election_date", "party_id", "name_english", "name_local",
-    "abbreviation", "is_new", "is_incumbent", "vote_share", "prev_vote_share",
-    "news_mentions", "wiki_project", "wiki_page_title",
-]
 
 
 @dataclass(frozen=True)
@@ -181,16 +178,69 @@ def fetch_many(
     return results, failures
 
 
-def _open_reader(path):
-    handle = open(path, newline="", encoding="utf-8")
-    return handle, csv.DictReader(handle)
+def _flag(text: str) -> bool:
+    if text not in ("0", "1"):
+        raise ValueError(f"must be 0 or 1, got {text!r}")
+    return text == "1"
 
 
-def _require_columns(reader: csv.DictReader, required: list[str], path) -> None:
-    fields = reader.fieldnames or []
-    missing = [c for c in required if c not in fields]
-    if missing:
-        raise SchemaError(f"{path}: missing columns {', '.join(missing)}")
+def _optional_float(text: str) -> float | None:
+    return float(text) if text != "" else None
+
+
+# Each schema lists (column, converter) pairs in the order its loader consumes
+# the values; render_pageviews_csv takes its header from PAGEVIEWS_SCHEMA.
+PAGEVIEWS_SCHEMA = (
+    ("wiki_project", str), ("page_title", str), ("date", date.fromisoformat), ("views", int),
+)
+PAGES_SCHEMA = PAGEVIEWS_SCHEMA[:2]
+PARTY_SCHEMA = (
+    ("country", str), ("election_date", date.fromisoformat), ("party_id", str),
+    ("name_english", str), ("name_local", str), ("abbreviation", str),
+    ("is_new", _flag), ("is_incumbent", _flag), ("vote_share", float),
+    ("prev_vote_share", _optional_float), ("news_mentions", int),
+    ("wiki_project", str), ("wiki_page_title", str),
+)
+TURNOUT_SCHEMA = (
+    ("language_edition", str), ("views_prev", int), ("views_curr", int),
+    ("turnout_prev", float), ("turnout_curr", float), ("outlier", _flag),
+)
+SCENARIO_SCHEMA = (
+    ("party_id", str), ("news_share", float), ("wiki_share", float),
+    ("new_party", _flag), ("incumbent", _flag),
+)
+
+
+def read_table(path, schema, what: str):
+    """Yield (line, values) for every non-blank data row of the CSV at path.
+
+    Columns are found by header name, so their order is free and extra
+    columns are ignored; values come in schema order, each cell passed
+    through its column's converter. A missing column raises SchemaError; a
+    short row raises RowError with its line, and a cell its converter rejects
+    raises one with its line and column.
+    """
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        header = next(reader, [])
+        missing = [name for name, _ in schema if name not in header]
+        if missing:
+            raise SchemaError(f"{path}, line 1: missing columns {', '.join(missing)}")
+        columns = [(name, header.index(name), convert) for name, convert in schema]
+        width = max(index for _, index, _ in columns) + 1
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < width:
+                raise RowError(line, f"malformed {what} row: fewer fields than the header")
+            values = []
+            for name, index, convert in columns:
+                try:
+                    values.append(convert(row[index]))
+                except ValueError as exc:
+                    raise RowError(line, f"malformed {what} row: {name}: {exc}") from exc
+            yield line, values
 
 
 def load_pageviews_csv(path) -> list[PageViewSeries]:
@@ -199,41 +249,74 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
     Rows may arrive in any date order; each series is re-sorted. Negative
     counts and malformed rows fail with their line number.
     """
-    handle, reader = _open_reader(path)
-    with handle:
-        _require_columns(reader, PAGEVIEWS_COLUMNS, path)
-        collected: dict[tuple[str, str], dict[date, int]] = {}
-        for row in reader:
-            line = reader.line_num
-            try:
-                project = row["wiki_project"]
-                title = row["page_title"]
-                day = date.fromisoformat(row["date"])
-                views = int(row["views"])
-            except (TypeError, KeyError, ValueError) as exc:
-                raise RowError(line, f"malformed page-view row: {exc}") from exc
-            if project is None or title is None or not project or not title:
-                raise RowError(line, "empty wiki_project or page_title")
-            if views < 0:
-                raise RowError(line, f"negative view count {views}")
-            day_map = collected.setdefault((project, title), {})
-            if day in day_map:
-                raise RowError(line, f"duplicate day {day} for {project}/{title}")
-            day_map[day] = views
+    collected: dict[tuple[str, str], dict[date, int]] = {}
+    for line, (project, title, day, views) in read_table(path, PAGEVIEWS_SCHEMA, "page-view"):
+        if not project or not title:
+            raise RowError(line, "empty wiki_project or page_title")
+        if views < 0:
+            raise RowError(line, f"negative view count {views}")
+        day_map = collected.setdefault((project, title), {})
+        if day in day_map:
+            raise RowError(line, f"duplicate day {day} for {project}/{title}")
+        day_map[day] = views
     return [
         PageViewSeries(wiki_project=project, page_title=title, daily=daily)
         for (project, title), daily in sorted(collected.items())
     ]
 
 
+def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:
+    """Page-view CSV text, pages in key order; load_pageviews_csv reads it back."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow([name for name, _ in PAGEVIEWS_SCHEMA])
+    for series in sorted(series_list, key=lambda s: s.key):
+        for day, views in series.daily.items():
+            writer.writerow([series.wiki_project, series.page_title, day.isoformat(), views])
+    return buffer.getvalue()
+
+
 def save_pageviews_csv(series_list: list[PageViewSeries], path) -> None:
     """Inverse of load_pageviews_csv; loading the output reproduces the input."""
     with open(path, "w", newline="", encoding="utf-8") as handle:
-        writer = csv.writer(handle)
-        writer.writerow(PAGEVIEWS_COLUMNS)
-        for series in sorted(series_list, key=lambda s: s.key):
-            for day, views in series.daily.items():
-                writer.writerow([series.wiki_project, series.page_title, day.isoformat(), views])
+        handle.write(render_pageviews_csv(series_list))
+
+
+def load_party_csv(path) -> list[PartyObservation]:
+    """Load the party dataset CSV into typed observations (strict parsing)."""
+    rows: list[PartyObservation] = []
+    for line, values in read_table(path, PARTY_SCHEMA, "party"):
+        try:
+            rows.append(PartyObservation(*values))
+        except ValidationError as exc:
+            raise RowError(line, f"malformed party row: {exc}") from exc
+    return rows
+
+
+def load_turnout_csv(path) -> list[TurnoutRecord]:
+    """Load one turnout record per language edition (strict parsing)."""
+    records: list[TurnoutRecord] = []
+    for line, values in read_table(path, TURNOUT_SCHEMA, "turnout"):
+        try:
+            records.append(TurnoutRecord(*values))
+        except ValueError as exc:
+            raise RowError(line, f"malformed turnout row: {exc}") from exc
+    return records
+
+
+class ScenarioRow(NamedTuple):
+    """One hypothetical party to predict for."""
+
+    party_id: str
+    news_share: float
+    wiki_share: float
+    new_party: bool
+    incumbent: bool
+
+
+def load_scenario_csv(path) -> list[ScenarioRow]:
+    """Load the scenario rows `predict` applies a fitted model to."""
+    return [ScenarioRow(*values) for _, values in read_table(path, SCENARIO_SCHEMA, "scenario")]
 
 
 def resolve_page_variant(
@@ -262,46 +345,3 @@ def resolve_page_variant(
             stacklevel=2,
         )
     return candidates[winner].page_title
-
-
-def _parse_flag(text: str, column: str, line: int) -> bool:
-    if text == "1":
-        return True
-    if text == "0":
-        return False
-    raise RowError(line, f"{column} must be 0 or 1, got {text!r}")
-
-
-def load_party_csv(path) -> list[PartyObservation]:
-    """Load the party dataset CSV into typed observations (strict parsing)."""
-    handle, reader = _open_reader(path)
-    with handle:
-        _require_columns(reader, PARTY_COLUMNS, path)
-        rows: list[PartyObservation] = []
-        for row in reader:
-            line = reader.line_num
-            if any(row[c] is None for c in PARTY_COLUMNS):
-                raise RowError(line, "row has fewer fields than the header")
-            try:
-                prev_raw = row["prev_vote_share"]
-                obs = PartyObservation(
-                    country=row["country"],
-                    election_date=date.fromisoformat(row["election_date"]),
-                    party_id=row["party_id"],
-                    name_english=row["name_english"],
-                    name_local=row["name_local"],
-                    abbreviation=row["abbreviation"],
-                    is_new=_parse_flag(row["is_new"], "is_new", line),
-                    is_incumbent=_parse_flag(row["is_incumbent"], "is_incumbent", line),
-                    vote_share=float(row["vote_share"]),
-                    prev_vote_share=float(prev_raw) if prev_raw != "" else None,
-                    news_mentions=int(row["news_mentions"]),
-                    wiki_project=row["wiki_project"],
-                    wiki_page_title=row["wiki_page_title"],
-                )
-            except RowError:
-                raise
-            except Exception as exc:
-                raise RowError(line, f"malformed party row: {exc}") from exc
-            rows.append(obs)
-    return rows

@@ -1,4 +1,4 @@
-"""Party/election data model and dataset-construction rules.
+"""Party/election and turnout data model and dataset-construction rules.
 
 One PartyObservation is one party in one election. Observations are grouped
 by (country, election_date) because every share normalization happens inside
@@ -20,6 +20,7 @@ __all__ = [
     "PartyObservation",
     "ElectionGroup",
     "Dataset",
+    "TurnoutRecord",
     "validate_dataset",
     "vote_change",
     "INCLUSION_THRESHOLD",
@@ -103,6 +104,27 @@ class Dataset:
 
     def __len__(self) -> int:
         return sum(len(g.observations) for g in self.groups)
+
+
+@dataclass(frozen=True)
+class TurnoutRecord:
+    """Aggregate attention and turnout for one language edition, two elections."""
+
+    language_edition: str
+    views_prev: int
+    views_curr: int
+    turnout_prev: float
+    turnout_curr: float
+    outlier: bool = False
+
+    def __post_init__(self):
+        if self.views_prev <= 0:
+            raise ValueError(f"{self.language_edition}: views_prev must be positive")
+        if self.views_curr < 0:
+            raise ValueError(f"{self.language_edition}: views_curr must be non-negative")
+        for label, value in (("turnout_prev", self.turnout_prev), ("turnout_curr", self.turnout_curr)):
+            if not 0.0 < value <= 100.0:
+                raise ValueError(f"{self.language_edition}: {label} {value} outside (0, 100]")
 
 
 def validate_dataset(

@@ -182,6 +182,8 @@ def qr_solve(x, y: np.ndarray) -> np.ndarray:
     n = values.shape[0]
     if y.shape != (n,):
         raise ValueError(f"response length {y.shape} does not match {n} rows")
+    if values.ndim != 2 or n < values.shape[1]:
+        raise ValueError(f"design of shape {values.shape} needs at least as many rows as columns")
     return qr_least_squares(values, y, names)[2]
 
 

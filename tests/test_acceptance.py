@@ -218,7 +218,7 @@ def test_criterion_5_turnout_operating_point():
 
         # the committed fixture was constructed to sit exactly there,
         # with two flagged outliers that must be echoed but excluded
-        records = cli.load_turnout_csv(DATA_DIR / "demo_turnout.csv")
+        records = ingest.load_turnout_csv(DATA_DIR / "demo_turnout.csv")
         report = forecast.turnout_analysis(records)
         assert report.correlation.n == TURNOUT_N
         assert len(report.excluded) == 2

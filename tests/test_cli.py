@@ -320,3 +320,99 @@ class TestIngestCommand:
                   "--start", "yesterday", "--end", "2014-05-24"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+class TestWindowDays:
+    @pytest.mark.parametrize("value", ["0", "-3", "seven"])
+    @pytest.mark.parametrize("command", [
+        ["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS],
+        ["fit", "--dataset", PARTIES, "--pageviews", PAGEVIEWS],
+        ["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--scenario", "s.csv"],
+        ["report", "--dataset", PARTIES, "--pageviews", PAGEVIEWS],
+        ["attention", "--pageviews", GENERAL, "--election-date", "2014-05-25"],
+    ], ids=lambda argv: argv[0])
+    def test_below_one_is_usage_error(self, tmp_path, capsys, monkeypatch, command, value):
+        monkeypatch.chdir(tmp_path)  # fit, report and attention default to ./wikivote-out
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command, "--window-days", value])
+        assert excinfo.value.code == 2
+        assert "--window-days" in capsys.readouterr().err
+
+
+# file kind -> (header, a valid row, argv that reads the file at the given path)
+INPUT_KINDS = {
+    "parties": (
+        PARTY_HEADER,
+        "Arcadia,2014-05-25,p1,A,A,A,0,0,20.0,15.0,120,aa.wikipedia,A\n",
+        lambda path: ["features", "--dataset", path, "--pageviews", PAGEVIEWS],
+    ),
+    "pageviews": (
+        "wiki_project,page_title,date,views\n",
+        "aa.wikipedia,X,2014-05-18,5\n",
+        lambda path: ["features", "--dataset", PARTIES, "--pageviews", path],
+    ),
+    "turnout": (
+        "language_edition,views_prev,views_curr,turnout_prev,turnout_curr,outlier\n",
+        "lang01,100,120,50.0,51.0,0\n",
+        lambda path: ["turnout", "--records", path],
+    ),
+    "scenario": (
+        "party_id,news_share,wiki_share,new_party,incumbent\n",
+        "a,10.0,10.0,0,0\n",
+        lambda path: ["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS,
+                      "--scenario", path],
+    ),
+    "pages": (
+        "wiki_project,page_title\n",
+        "aa.wikipedia,X\n",
+        lambda path: ["ingest", "--pages", path, "--start", "2014-05-18",
+                      "--end", "2014-05-24", "--retry-limit", "0"],
+    ),
+}
+# (file kind, defect) -> the column to drop, or the malformed row
+INPUT_DEFECTS = {
+    ("parties", "missing_column"): "news_mentions",
+    ("parties", "short_row"): "Arcadia,2014-05-25,p2\n",
+    ("parties", "bad_number"): "Arcadia,2014-05-25,p2,B,B,B,0,0,lots,15.0,120,aa.wikipedia,B\n",
+    ("parties", "bad_flag"): "Arcadia,2014-05-25,p2,B,B,B,yes,0,20.0,,120,aa.wikipedia,B\n",
+    ("parties", "negative_count"): "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,15.0,-1,aa.wikipedia,B\n",
+    ("pageviews", "missing_column"): "date",
+    ("pageviews", "short_row"): "aa.wikipedia,X\n",
+    ("pageviews", "bad_number"): "aa.wikipedia,X,2014-05-19,many\n",
+    ("pageviews", "duplicate_day"): "aa.wikipedia,X,2014-05-18,7\n",
+    ("pageviews", "negative_count"): "aa.wikipedia,X,2014-05-19,-4\n",
+    ("turnout", "missing_column"): "outlier",
+    ("turnout", "short_row"): "lang02,100\n",
+    ("turnout", "bad_number"): "lang02,100,abc,50.0,51.0,0\n",
+    ("turnout", "bad_flag"): "lang02,100,120,50.0,51.0,yes\n",
+    ("turnout", "negative_count"): "lang02,100,-5,50.0,51.0,0\n",
+    ("scenario", "missing_column"): "incumbent",
+    ("scenario", "short_row"): "b,10.0\n",
+    ("scenario", "bad_number"): "b,lots,10.0,0,0\n",
+    ("scenario", "bad_flag"): "b,10.0,10.0,yes,0\n",
+    ("pages", "missing_column"): "wiki_project",
+    ("pages", "short_row"): "bb.wikipedia\n",
+}
+
+
+class TestMalformedInputs:
+    @pytest.mark.parametrize("kind,defect", list(INPUT_DEFECTS),
+                             ids=[f"{k}-{d}" for k, d in INPUT_DEFECTS])
+    def test_exit_3_names_the_line(self, tmp_path, capsys, monkeypatch, kind, defect):
+        # a refused local port: no page fetch can reach a real host
+        monkeypatch.setenv("WIKIVOTE_PAGEVIEWS_BASE_URL", "http://127.0.0.1:9/views")
+        header, good, argv = INPUT_KINDS[kind]
+        bad = INPUT_DEFECTS[kind, defect]
+        path = tmp_path / f"{kind}.csv"
+        if defect == "missing_column":
+            path.write_text(header.replace(bad, bad.upper()) + good)
+        else:
+            # the blank line is skipped but still counted: the bad row is line 4
+            path.write_text(header + good + "\n" + bad)
+        code = main(argv(str(path)))
+        err = capsys.readouterr().err
+        assert code == 3
+        if defect == "missing_column":
+            assert "line 1" in err and bad in err
+        else:
+            assert "line 4" in err

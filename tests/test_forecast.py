@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import DATA_DIR
-from wikivote.cli import load_turnout_csv
+from wikivote.ingest import load_turnout_csv
 from wikivote.errors import ComputationError, CurationWarning
 from wikivote.features import FeatureRow
 from wikivote.forecast import (

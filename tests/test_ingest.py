@@ -17,12 +17,14 @@ from wikivote.errors import (
 )
 from wikivote.ingest import (
     BASE_URL_ENV_VAR,
+    TURNOUT_SCHEMA,
     FetchPolicy,
     PageViewSeries,
     fetch_many,
     fetch_pageviews,
     load_pageviews_csv,
     load_party_csv,
+    read_table,
     resolve_page_variant,
     save_pageviews_csv,
 )
@@ -323,3 +325,27 @@ class TestPartyCsv:
         with pytest.raises(RowError) as excinfo:
             load_party_csv(path)
         assert excinfo.value.line == 3
+
+
+class TestReadTable:
+    def test_columns_are_read_by_name(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "outlier,note,turnout_curr,turnout_prev,views_curr,views_prev,language_edition\n"
+            "1,ignored,51.0,50.0,120,100,lang01\n"
+            "\n"
+            "0,,61.0,60.0,90,80,lang02\n"
+        )
+        assert list(read_table(path, TURNOUT_SCHEMA, "turnout")) == [
+            (2, ["lang01", 100, 120, 50.0, 51.0, True]),
+            (4, ["lang02", 80, 90, 60.0, 61.0, False]),
+        ]
+
+    def test_rejected_cell_names_line_and_column(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "language_edition,views_prev,views_curr,turnout_prev,turnout_curr,outlier\n"
+            "lang01,100,120,50.0,51.0,true\n"
+        )
+        with pytest.raises(RowError, match="line 2: malformed turnout row: outlier: "):
+            list(read_table(path, TURNOUT_SCHEMA, "turnout"))

@@ -87,6 +87,10 @@ class TestQrSolve:
         with pytest.raises(ValueError):
             qr_solve(np.ones((5, 2)), np.ones(4))
 
+    def test_fewer_rows_than_columns_names_the_shape(self):
+        with pytest.raises(ValueError, match=r"shape \(2, 3\)"):
+            qr_solve(np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 7.0]]), np.ones(2))
+
 
 class TestDesignMatrix:
     def test_requires_intercept_first(self):
