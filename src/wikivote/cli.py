@@ -11,14 +11,13 @@ lives in a separate manifest.json next to the reports.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import math
 import os
 import sys
 import tempfile
 import warnings
+from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
@@ -118,17 +117,13 @@ def _render_text_table(reports: list[forecast.ModelReport]) -> str:
 
 
 def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["model", "term", "beta", "se", "t", "p", "stars", "r2", "adj_r2", "n"])
-    for report in reports:
-        for term in report.fit.terms:
-            writer.writerow([
-                report.spec.id, term.name, repr(term.beta), repr(term.se),
-                repr(term.t_stat), repr(term.p_value), term.stars,
-                repr(report.fit.r2), repr(report.fit.adj_r2), report.fit.n,
-            ])
-    return buffer.getvalue()
+    return ingest.render_csv(
+        ["model", "term", "beta", "se", "t", "p", "stars", "r2", "adj_r2", "n"],
+        ([report.spec.id, term.name, repr(term.beta), repr(term.se),
+          repr(term.t_stat), repr(term.p_value), term.stars,
+          repr(report.fit.r2), repr(report.fit.adj_r2), report.fit.n]
+         for report in reports for term in report.fit.terms),
+    )
 
 
 def cmd_ingest(args, parser) -> int:
@@ -160,16 +155,13 @@ def cmd_ingest(args, parser) -> int:
 
 def cmd_features(args, parser) -> int:
     rows = _load_features(args)
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(feats.FEATURE_COLUMNS)
-    for row in rows:
-        writer.writerow([
-            row.party_id, row.country, row.election_date.isoformat(),
-            repr(row.wiki_share), repr(row.news_share), row.new_party,
-            row.incumbent, repr(row.vote_share), repr(row.vote_change),
-        ])
-    _emit(buffer.getvalue(), args.out)
+    text = ingest.render_csv(feats.FEATURE_COLUMNS, (
+        [row.party_id, row.country, row.election_date.isoformat(),
+         repr(row.wiki_share), repr(row.news_share), row.new_party,
+         row.incumbent, repr(row.vote_share), repr(row.vote_change)]
+        for row in rows
+    ))
+    _emit(text, args.out)
     return EXIT_OK
 
 
@@ -221,33 +213,28 @@ def cmd_predict(args, parser) -> int:
     report = forecast.fit_model(training, spec, sides=args.sides)
     scenario = ingest.load_scenario_csv(args.scenario)
 
-    covariates = ["news_share", "new_party", "incumbent"]
-    if spec.include_wikipedia:
-        covariates.append("wiki_share")
     training_range = {
         c: (min(getattr(r, c) for r in training), max(getattr(r, c) for r in training))
-        for c in covariates
+        for c in spec.covariates
     }
-    low, high = (0.0, 100.0) if spec.dependent == "vote_share" else (-100.0, 100.0)
+    low, high = spec.outcome_range
 
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         values = forecast.predict(report, scenario)
 
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["party_id", "predicted", "flags"])
+    out_rows = []
     for row, value in zip(scenario, values):
         flags = []
         if not low <= value <= high:
             flags.append("out_of_range")
-        for c in covariates:
+        for c in spec.covariates:
             lo, hi = training_range[c]
             if not lo <= getattr(row, c) <= hi:
                 flags.append("extrapolated")
                 break
-        writer.writerow([row.party_id, repr(value), ";".join(flags)])
-    _emit(buffer.getvalue(), args.out)
+        out_rows.append([row.party_id, repr(value), ";".join(flags)])
+    _emit(ingest.render_csv(["party_id", "predicted", "flags"], out_rows), args.out)
     return EXIT_OK
 
 
@@ -258,21 +245,9 @@ def cmd_turnout(args, parser) -> int:
 
     if args.format == "json":
         doc = {
-            "r": corr.r,
-            "n": corr.n,
-            "p_value": corr.p_value,
-            "adj_r2": corr.adj_r2,
+            **asdict(corr),
             "sides": args.sides,
-            "ratios": [
-                {
-                    "language_edition": ratio.language_edition,
-                    "views_change": ratio.views_change,
-                    "turnout_change": ratio.turnout_change,
-                    "outlier": ratio.outlier,
-                    "studentized_residual": ratio.studentized_residual,
-                }
-                for ratio in result.ratios
-            ],
+            "ratios": [asdict(ratio) for ratio in result.ratios],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
         return EXIT_OK
@@ -316,11 +291,8 @@ def cmd_attention(args, parser) -> int:
             dynamics.append({
                 "series_id": series_id,
                 "status": "ok",
+                **asdict(dyn),
                 "peak_date": dyn.peak_date.isoformat(),
-                "lambda_up": dyn.lambda_up,
-                "lambda_down": dyn.lambda_down,
-                "fit_quality_up": dyn.fit_quality_up,
-                "fit_quality_down": dyn.fit_quality_down,
             })
             succeeded += 1
         except DataError as exc:
@@ -330,17 +302,16 @@ def cmd_attention(args, parser) -> int:
                         outputs=[], errors=[d.get("error", "") for d in dynamics])
         raise DataError("attention analysis failed for every series")
 
-    plot_buffer = io.StringIO()
-    writer = csv.writer(plot_buffer, lineterminator="\n")
-    writer.writerow(["series_id", "date", "views", "log_views"])
-    for series in series_list:
-        series_id = f"{series.wiki_project}:{series.page_title}"
-        for day, views in series.daily.items():
-            log_views = repr(math.log(views)) if views > 0 else ""
-            writer.writerow([series_id, day.isoformat(), views, log_views])
+    def plot_rows():
+        for series in series_list:
+            series_id = f"{series.wiki_project}:{series.page_title}"
+            for day, views in series.daily.items():
+                log_views = repr(math.log(views)) if views > 0 else ""
+                yield series_id, day.isoformat(), views, log_views
 
     _atomic_write(output_dir / "attention_dynamics.json", json.dumps(dynamics, indent=2) + "\n")
-    _atomic_write(output_dir / "attention_series.csv", plot_buffer.getvalue())
+    _atomic_write(output_dir / "attention_series.csv", ingest.render_csv(
+        ["series_id", "date", "views", "log_views"], plot_rows()))
     _write_manifest(
         output_dir, "attention", config, status="ok",
         outputs=["attention_dynamics.json", "attention_series.csv"],
@@ -360,15 +331,12 @@ def cmd_report(args, parser) -> int:
         "window_days": args.window_days,
     }
 
-    shares_buffer = io.StringIO()
-    writer = csv.writer(shares_buffer, lineterminator="\n")
-    writer.writerow(["country", "election_date", "party_id", "wiki_share",
-                     "news_share", "vote_share"])
-    for row in rows:
-        writer.writerow([
-            row.country, row.election_date.isoformat(), row.party_id,
-            repr(row.wiki_share), repr(row.news_share), repr(row.vote_share),
-        ])
+    shares = ingest.render_csv(
+        ["country", "election_date", "party_id", "wiki_share", "news_share", "vote_share"],
+        ([row.country, row.election_date.isoformat(), row.party_id,
+          repr(row.wiki_share), repr(row.news_share), repr(row.vote_share)]
+         for row in rows),
+    )
 
     small = feats.subset_small(rows)
     pairs = {
@@ -378,29 +346,20 @@ def cmd_report(args, parser) -> int:
         "wiki_vs_vote_share": ([r.wiki_share for r in rows], [r.vote_share for r in rows]),
         "news_vs_wiki": ([r.news_share for r in rows], [r.wiki_share for r in rows]),
     }
-    correlations = {}
-    for name, (x, y) in pairs.items():
-        result = stats.pearson(x, y)
-        correlations[name] = {
-            "r": result.r, "n": result.n,
-            "p_value": result.p_value, "adj_r2": result.adj_r2,
-        }
+    correlations = {name: asdict(stats.pearson(x, y)) for name, (x, y) in pairs.items()}
 
-    scatter_buffer = io.StringIO()
-    writer = csv.writer(scatter_buffer, lineterminator="\n")
-    writer.writerow(["party_id", "country", "election_date", "news_share",
-                     "wiki_share", "cluster"])
-    for row in rows:
-        cluster = "new" if row.new_party else ("incumbent" if row.incumbent else "other")
-        writer.writerow([
-            row.party_id, row.country, row.election_date.isoformat(),
-            repr(row.news_share), repr(row.wiki_share), cluster,
-        ])
+    scatter = ingest.render_csv(
+        ["party_id", "country", "election_date", "news_share", "wiki_share", "cluster"],
+        ([row.party_id, row.country, row.election_date.isoformat(),
+          repr(row.news_share), repr(row.wiki_share),
+          "new" if row.new_party else ("incumbent" if row.incumbent else "other")]
+         for row in rows),
+    )
 
-    _atomic_write(output_dir / "report_shares.csv", shares_buffer.getvalue())
+    _atomic_write(output_dir / "report_shares.csv", shares)
     _atomic_write(output_dir / "report_correlations.json",
                   json.dumps(correlations, indent=2) + "\n")
-    _atomic_write(output_dir / "report_scatter.csv", scatter_buffer.getvalue())
+    _atomic_write(output_dir / "report_scatter.csv", scatter)
     _write_manifest(
         output_dir, "report", config, status="ok",
         outputs=["report_shares.csv", "report_correlations.json", "report_scatter.csv"],
@@ -501,10 +460,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args, parser)
-    except DataError as exc:
-        print(f"wikivote: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, OSError) as exc:
         print(f"wikivote: {exc}", file=sys.stderr)
         return EXIT_DATA
     except NetworkError as exc:

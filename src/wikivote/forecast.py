@@ -23,19 +23,6 @@ from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson,
 BASE_TERMS = ("Intercept", "News", "New Party", "Incumbency", "News x Incumbency")
 WIKI_TERMS = ("Wikipedia", "New Party x Wikipedia")
 
-# id -> (dependent, include_wikipedia, subset)
-MODEL_GRID = {
-    "1.0": ("vote_share", False, "all"),
-    "1.1": ("vote_share", True, "all"),
-    "1.2": ("vote_share", False, "small_parties"),
-    "1.3": ("vote_share", True, "small_parties"),
-    "2.0": ("vote_change", False, "all"),
-    "2.1": ("vote_change", True, "all"),
-    "2.2": ("vote_change", False, "small_parties"),
-    "2.3": ("vote_change", True, "small_parties"),
-}
-MODEL_IDS = tuple(MODEL_GRID)
-
 ATTENTION_WINDOW_DAYS = 30
 MIN_FIT_DAYS = 5
 
@@ -47,32 +34,50 @@ class ModelSpec:
     include_wikipedia: bool
     subset: str
 
-    def __post_init__(self):
-        expected = MODEL_GRID.get(self.id)
-        if expected is None:
-            raise ValueError(f"unknown model id {self.id!r}; valid ids: {', '.join(MODEL_IDS)}")
-        if (self.dependent, self.include_wikipedia, self.subset) != expected:
-            raise ValueError(f"fields do not match the fixed grid for model {self.id}")
-
     @classmethod
     def from_id(cls, model_id: str) -> "ModelSpec":
         if model_id not in MODEL_GRID:
             raise ValueError(
                 f"unknown model id {model_id!r}; valid ids: {', '.join(MODEL_IDS)}"
             )
-        dependent, wiki, subset = MODEL_GRID[model_id]
-        return cls(id=model_id, dependent=dependent, include_wikipedia=wiki, subset=subset)
+        return MODEL_GRID[model_id]
 
     @property
     def term_names(self) -> tuple[str, ...]:
         return BASE_TERMS + WIKI_TERMS if self.include_wikipedia else BASE_TERMS
+
+    @property
+    def covariates(self) -> tuple[str, ...]:
+        """The row fields the design is built from."""
+        base = ("news_share", "new_party", "incumbent")
+        return base + ("wiki_share",) if self.include_wikipedia else base
+
+    @property
+    def outcome_range(self) -> tuple[float, float]:
+        """Plausible outcomes: [0, 100] for vote share, [-100, 100] for vote change."""
+        return (0.0, 100.0) if self.dependent == "vote_share" else (-100.0, 100.0)
+
+
+MODEL_GRID = {
+    spec.id: spec
+    for spec in (
+        ModelSpec("1.0", "vote_share", False, "all"),
+        ModelSpec("1.1", "vote_share", True, "all"),
+        ModelSpec("1.2", "vote_share", False, "small_parties"),
+        ModelSpec("1.3", "vote_share", True, "small_parties"),
+        ModelSpec("2.0", "vote_change", False, "all"),
+        ModelSpec("2.1", "vote_change", True, "all"),
+        ModelSpec("2.2", "vote_change", False, "small_parties"),
+        ModelSpec("2.3", "vote_change", True, "small_parties"),
+    )
+}
+MODEL_IDS = tuple(MODEL_GRID)
 
 
 @dataclass(frozen=True)
 class ModelReport:
     spec: ModelSpec
     fit: FitResult
-    rows_used: int
 
     def to_json_dict(self) -> dict:
         """Fixed wire format: {spec, terms[], r2, adj_r2, n}."""
@@ -135,41 +140,49 @@ class AttentionDynamics:
     fit_quality_down: float
 
 
+def _design(rows, spec: ModelSpec) -> np.ndarray:
+    """The design rows of spec over rows, columns in spec.term_names order.
+
+    Interactions are elementwise products of the already-built columns. A
+    covariate that is absent or NaN on any row raises ComputationError.
+    """
+    values = {}
+    for field in spec.covariates:
+        column = np.array([getattr(row, field, None) for row in rows], dtype=float)
+        if np.isnan(column).any():
+            raise ComputationError(f"missing covariate {field!r}")
+        values[field] = column
+    news, new_party, incumbency = values["news_share"], values["new_party"], values["incumbent"]
+    columns = [np.ones(len(rows)), news, new_party, incumbency, news * incumbency]
+    if spec.include_wikipedia:
+        wiki = values["wiki_share"]
+        columns += [wiki, new_party * wiki]
+    return np.column_stack(columns)
+
+
 def build_design_matrix(
     rows: list[FeatureRow], spec: ModelSpec
 ) -> tuple[DesignMatrix, np.ndarray]:
     """Assemble the fixed-order design and response for one model spec.
 
-    Interactions are elementwise products of the already-built columns. A
-    constant non-intercept column draws a warning here and a named failure
+    A constant non-intercept column draws a warning here and a named failure
     in the fit.
     """
     used = subset_small(rows) if spec.subset == "small_parties" else list(rows)
     if not used:
         raise ComputationError(f"model {spec.id}: no rows left after subsetting")
 
-    news = np.array([r.news_share for r in used])
-    new_party = np.array([float(r.new_party) for r in used])
-    incumbency = np.array([float(r.incumbent) for r in used])
-    columns = [np.ones(len(used)), news, new_party, incumbency, news * incumbency]
-    if spec.include_wikipedia:
-        wiki = np.array([r.wiki_share for r in used])
-        columns += [wiki, new_party * wiki]
-
+    design = _design(used, spec)
     names = spec.term_names
-    for name, column in zip(names[1:], columns[1:]):
+    for name, column in zip(names[1:], design.T[1:]):
         if np.ptp(column) == 0.0:
             warnings.warn(
                 f"model {spec.id}: column {name!r} is constant",
                 CurationWarning,
                 stacklevel=2,
             )
-    x = DesignMatrix(values=np.column_stack(columns), column_names=names)
-    if spec.dependent == "vote_share":
-        y = np.array([r.vote_share for r in used])
-    else:
-        y = np.array([r.vote_change for r in used])
-    return x, y
+    y = np.array([getattr(r, spec.dependent) for r in used])
+    return DesignMatrix(values=design, column_names=names), y
 
 
 def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two") -> ModelReport:
@@ -179,7 +192,7 @@ def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two") ->
         fit = ols_fit(x, y, sides=sides)
     except ComputationError as exc:
         raise ComputationError(f"model {spec.id}: {exc}") from exc
-    return ModelReport(spec=spec, fit=fit, rows_used=x.n)
+    return ModelReport(spec=spec, fit=fit)
 
 
 def compare_models(base: ModelReport, full: ModelReport) -> ModelComparison:
@@ -195,31 +208,17 @@ def compare_models(base: ModelReport, full: ModelReport) -> ModelComparison:
     )
 
 
-def _covariate(row, field: str):
-    value = getattr(row, field, None)
-    if value is None or (isinstance(value, float) and math.isnan(value)):
-        raise ComputationError(f"missing covariate {field!r} for prediction")
-    return float(value)
-
-
 def predict(report: ModelReport, new_rows) -> list[float]:
     """Point predictions in the dependent variable's units, unclamped.
 
-    Out-of-range values (outside [0, 100] for vote share, [-100, 100] for
-    change) are reported as-is with a warning.
+    Values outside spec.outcome_range are reported as-is with a warning.
     """
     spec = report.spec
     beta = report.fit.beta
-    low, high = (0.0, 100.0) if spec.dependent == "vote_share" else (-100.0, 100.0)
+    low, high = spec.outcome_range
+    rows = list(new_rows)
     predictions: list[float] = []
-    for row in new_rows:
-        news = _covariate(row, "news_share")
-        new_party = _covariate(row, "new_party")
-        incumbent = _covariate(row, "incumbent")
-        design = [1.0, news, new_party, incumbent, news * incumbent]
-        if spec.include_wikipedia:
-            wiki = _covariate(row, "wiki_share")
-            design += [wiki, new_party * wiki]
+    for row, design in zip(rows, _design(rows, spec)):
         value = float(np.dot(design, beta))
         if not low <= value <= high:
             warnings.warn(

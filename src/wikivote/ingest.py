@@ -218,29 +218,53 @@ def read_table(path, schema, what: str):
     columns are ignored; values come in schema order, each cell passed
     through its column's converter. A missing column raises SchemaError; a
     short row raises RowError with its line, and a cell its converter rejects
-    raises one with its line and column.
+    raises one with its line and column. A file that is not UTF-8 raises
+    RowError with the line of its first undecodable byte.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
-        header = next(reader, [])
-        missing = [name for name, _ in schema if name not in header]
-        if missing:
-            raise SchemaError(f"{path}, line 1: missing columns {', '.join(missing)}")
-        columns = [(name, header.index(name), convert) for name, convert in schema]
-        width = max(index for _, index, _ in columns) + 1
-        for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) < width:
-                raise RowError(line, f"malformed {what} row: fewer fields than the header")
-            values = []
-            for name, index, convert in columns:
-                try:
-                    values.append(convert(row[index]))
-                except ValueError as exc:
-                    raise RowError(line, f"malformed {what} row: {name}: {exc}") from exc
-            yield line, values
+        try:
+            header = next(reader, [])
+            missing = [name for name, _ in schema if name not in header]
+            if missing:
+                raise SchemaError(f"{path}, line 1: missing columns {', '.join(missing)}")
+            columns = [(name, header.index(name), convert) for name, convert in schema]
+            width = max(index for _, index, _ in columns) + 1
+            for row in reader:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) < width:
+                    raise RowError(line, f"malformed {what} row: fewer fields than the header")
+                values = []
+                for name, index, convert in columns:
+                    try:
+                        values.append(convert(row[index]))
+                    except ValueError as exc:
+                        raise RowError(line, f"malformed {what} row: {name}: {exc}") from exc
+                yield line, values
+        except UnicodeDecodeError:
+            # the error's offset counts from the decoder's buffered chunk, so decode the whole file
+            with open(path, "rb") as raw_handle:
+                raw = raw_handle.read()
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                line = raw.count(b"\n", 0, exc.start) + 1
+                raise RowError(line, f"{what} file {path} is not UTF-8: {exc.reason}") from None
+            raise
+
+
+def render_csv(header, rows) -> str:
+    """CSV text of a header row and the rows, each line ending in "\\n".
+
+    rows may be any iterable; a generator is consumed one row at a time.
+    """
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buffer.getvalue()
 
 
 def load_pageviews_csv(path) -> list[PageViewSeries]:
@@ -267,13 +291,12 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
 
 def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:
     """Page-view CSV text, pages in key order; load_pageviews_csv reads it back."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow([name for name, _ in PAGEVIEWS_SCHEMA])
-    for series in sorted(series_list, key=lambda s: s.key):
-        for day, views in series.daily.items():
-            writer.writerow([series.wiki_project, series.page_title, day.isoformat(), views])
-    return buffer.getvalue()
+    return render_csv(
+        [name for name, _ in PAGEVIEWS_SCHEMA],
+        ((series.wiki_project, series.page_title, day.isoformat(), views)
+         for series in sorted(series_list, key=lambda s: s.key)
+         for day, views in series.daily.items()),
+    )
 
 
 def save_pageviews_csv(series_list: list[PageViewSeries], path) -> None:
@@ -283,13 +306,21 @@ def save_pageviews_csv(series_list: list[PageViewSeries], path) -> None:
 
 
 def load_party_csv(path) -> list[PartyObservation]:
-    """Load the party dataset CSV into typed observations (strict parsing)."""
+    """Load the party dataset CSV into typed observations (strict parsing).
+
+    A repeated (country, election_date, party_id) fails on its second line.
+    """
     rows: list[PartyObservation] = []
+    first_lines: dict[tuple[str, date, str], int] = {}
     for line, values in read_table(path, PARTY_SCHEMA, "party"):
         try:
-            rows.append(PartyObservation(*values))
+            obs = PartyObservation(*values)
         except ValidationError as exc:
             raise RowError(line, f"malformed party row: {exc}") from exc
+        first = first_lines.setdefault(obs.key, line)
+        if first != line:
+            raise RowError(line, f"duplicate party row {obs.label} (first on line {first})")
+        rows.append(obs)
     return rows
 
 

@@ -16,16 +16,6 @@ from .errors import CurationWarning, ValidationError
 
 INCLUSION_THRESHOLD = 5.0
 
-__all__ = [
-    "PartyObservation",
-    "ElectionGroup",
-    "Dataset",
-    "TurnoutRecord",
-    "validate_dataset",
-    "vote_change",
-    "INCLUSION_THRESHOLD",
-]
-
 
 @dataclass(frozen=True)
 class PartyObservation:
@@ -66,6 +56,11 @@ class PartyObservation:
     def key(self) -> tuple[str, date, str]:
         return (self.country, self.election_date, self.party_id)
 
+    @property
+    def label(self) -> str:
+        """The key as country/election_date/party_id, for messages."""
+        return f"{self.country}/{self.election_date}/{self.party_id}"
+
 
 @dataclass(frozen=True)
 class ElectionGroup:
@@ -93,7 +88,6 @@ class ElectionGroup:
 @dataclass(frozen=True)
 class Dataset:
     groups: tuple[ElectionGroup, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "groups", tuple(self.groups))
@@ -127,32 +121,19 @@ class TurnoutRecord:
                 raise ValueError(f"{self.language_edition}: {label} {value} outside (0, 100]")
 
 
-def validate_dataset(
-    raw_rows,
-    *,
-    provenance: str = "",
-    inclusion_threshold: float = INCLUSION_THRESHOLD,
-    inclusion_comparator: str = ">=",
-) -> Dataset:
+def validate_dataset(raw_rows) -> Dataset:
     """Group rows into elections and enforce the dataset invariants.
 
     Rejects duplicate (country, election_date, party_id) keys and groups with
     fewer than two parties. Parties whose best vote share across all their
-    appearances never clears the inclusion threshold draw a CurationWarning
-    but stay in the dataset.
-
-    inclusion_comparator selects how the threshold is applied: ">=" (default)
-    treats a party that hits exactly 5.0 once as included without comment,
-    ">" warns about it.
+    appearances never reaches the inclusion threshold draw a CurationWarning
+    but stay in the dataset; exactly 5.0 counts as reaching it.
     """
-    if inclusion_comparator not in (">=", ">"):
-        raise ValueError(f"inclusion_comparator must be '>=' or '>', got {inclusion_comparator!r}")
-
     rows = list(raw_rows)
     seen: set[tuple[str, date, str]] = set()
     for obs in rows:
         if obs.key in seen:
-            raise ValidationError(f"duplicate observation key {obs.key}")
+            raise ValidationError(f"duplicate observation key {obs.label}")
         seen.add(obs.key)
 
     best_share: dict[tuple[str, str], float] = {}
@@ -160,10 +141,9 @@ def validate_dataset(
         party = (obs.country, obs.party_id)
         best_share[party] = max(best_share.get(party, 0.0), obs.vote_share)
     for (country, party_id), best in sorted(best_share.items()):
-        cleared = best >= inclusion_threshold if inclusion_comparator == ">=" else best > inclusion_threshold
-        if not cleared:
+        if best < INCLUSION_THRESHOLD:
             warnings.warn(
-                f"party {party_id} ({country}) never clears {inclusion_threshold}% "
+                f"party {party_id} ({country}) never clears {INCLUSION_THRESHOLD}% "
                 f"(best {best}%); kept, but outside the usual inclusion rule",
                 CurationWarning,
                 stacklevel=2,
@@ -181,7 +161,7 @@ def validate_dataset(
         )
         for (country, election_date), members in sorted(by_group.items())
     )
-    return Dataset(groups=groups, provenance=provenance)
+    return Dataset(groups=groups)
 
 
 def vote_change(obs: PartyObservation) -> float:

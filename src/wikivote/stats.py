@@ -142,16 +142,6 @@ def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _upper_triangular_inverse(r: np.ndarray) -> np.ndarray:
-    k = r.shape[0]
-    inv = np.zeros((k, k))
-    for j in range(k):
-        e = np.zeros(k)
-        e[j] = 1.0
-        inv[:, j] = _back_substitute(r, e)
-    return inv
-
-
 def qr_least_squares(values: np.ndarray, y: np.ndarray, column_names=None):
     """Thin Q, R and the least-squares coefficients of y on the columns of values.
 
@@ -217,7 +207,7 @@ def ols_fit(x, y: np.ndarray, *, sides: str = "two") -> FitResult:
     ssr = float(residuals @ residuals)
     df_resid = n - k
     sigma2 = ssr / df_resid
-    r_inv = _upper_triangular_inverse(r)
+    r_inv = np.column_stack([_back_substitute(r, e) for e in np.eye(k)])
     xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
     se = np.sqrt(sigma2 * xtx_inv_diag)
 

@@ -167,6 +167,36 @@ class TestPredictCommand:
         way_out = dict(zip(("id", "value", "flags"), lines[2].split(",")))
         assert "extrapolated" in way_out["flags"]
 
+    def predict_rows(self, tmp_path, capsys, model, rows):
+        scenario = self.scenario(tmp_path, rows)
+        assert main(["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS,
+                     "--model", model, "--scenario", scenario]) == 0
+        lines = capsys.readouterr().out.splitlines()[1:]
+        return {party: (float(value), flags.split(";"))
+                for party, value, flags in (line.split(",") for line in lines)}
+
+    def test_share_model_flags_outside_0_100(self, tmp_path, capsys):
+        out = self.predict_rows(tmp_path, capsys, "1.1", [
+            "high,400.0,400.0,0,0\n", "low,-400.0,-400.0,1,1\n", "inside,12.0,12.0,0,0\n",
+        ])
+        assert out["high"][0] > 100.0 and "out_of_range" in out["high"][1]
+        assert out["low"][0] < 0.0 and "out_of_range" in out["low"][1]
+        assert 0.0 <= out["inside"][0] <= 100.0 and out["inside"][1] == [""]
+
+    def test_change_model_flags_outside_minus_100_100(self, tmp_path, capsys):
+        out = self.predict_rows(tmp_path, capsys, "2.3", [
+            "low,-400.0,-400.0,1,1\n", "falling,400.0,400.0,0,0\n",
+        ])
+        assert out["low"][0] < -100.0 and "out_of_range" in out["low"][1]
+        # negative but above -100: plausible for a change, not for a share
+        assert -100.0 <= out["falling"][0] < 0.0
+        assert "out_of_range" not in out["falling"][1]
+
+    def test_wiki_share_ignored_without_wikipedia_terms(self, tmp_path, capsys):
+        rows = ["viral,12.0,999.0,0,0\n"]
+        assert self.predict_rows(tmp_path, capsys, "1.0", rows)["viral"][1] == [""]
+        assert "extrapolated" in self.predict_rows(tmp_path, capsys, "1.1", rows)["viral"][1]
+
     def test_empty_scenario_gives_header_only(self, tmp_path, capsys):
         scenario = self.scenario(tmp_path, [])
         assert main(["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS,
@@ -376,11 +406,14 @@ INPUT_DEFECTS = {
     ("parties", "bad_number"): "Arcadia,2014-05-25,p2,B,B,B,0,0,lots,15.0,120,aa.wikipedia,B\n",
     ("parties", "bad_flag"): "Arcadia,2014-05-25,p2,B,B,B,yes,0,20.0,,120,aa.wikipedia,B\n",
     ("parties", "negative_count"): "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,15.0,-1,aa.wikipedia,B\n",
+    ("parties", "duplicate_key"): "Arcadia,2014-05-25,p1,B,B,B,0,0,20.0,15.0,120,aa.wikipedia,B\n",
+    ("parties", "not_utf8"): b"Arcadia,2014-05-25,p2,Caf\xe9,B,B,0,0,20.0,15.0,120,aa.wikipedia,B\n",
     ("pageviews", "missing_column"): "date",
     ("pageviews", "short_row"): "aa.wikipedia,X\n",
     ("pageviews", "bad_number"): "aa.wikipedia,X,2014-05-19,many\n",
     ("pageviews", "duplicate_day"): "aa.wikipedia,X,2014-05-18,7\n",
     ("pageviews", "negative_count"): "aa.wikipedia,X,2014-05-19,-4\n",
+    ("pageviews", "not_utf8"): b"aa.wikipedia,Caf\xe9,2014-05-19,5\n",
     ("turnout", "missing_column"): "outlier",
     ("turnout", "short_row"): "lang02,100\n",
     ("turnout", "bad_number"): "lang02,100,abc,50.0,51.0,0\n",
@@ -406,6 +439,8 @@ class TestMalformedInputs:
         path = tmp_path / f"{kind}.csv"
         if defect == "missing_column":
             path.write_text(header.replace(bad, bad.upper()) + good)
+        elif defect == "not_utf8":
+            path.write_bytes((header + good + "\n").encode() + bad)
         else:
             # the blank line is skipped but still counted: the bad row is line 4
             path.write_text(header + good + "\n" + bad)

@@ -326,6 +326,19 @@ class TestPartyCsv:
             load_party_csv(path)
         assert excinfo.value.line == 3
 
+    def test_repeated_key_names_both_lines(self, tmp_path):
+        path = tmp_path / "p.csv"
+        path.write_text(
+            self.HEADER + "\n"
+            "Arcadia,2009-06-07,arc_p1,A,A,A,0,0,20.0,15.0,120,aa.wikipedia,A\n"
+            "Arcadia,2009-06-07,arc_p2,B,B,B,0,0,30.0,25.0,120,aa.wikipedia,B\n"
+            "Arcadia,2009-06-07,arc_p1,A,A,A,0,1,21.0,15.0,130,aa.wikipedia,A\n"
+        )
+        with pytest.raises(RowError, match=(
+            r"^line 4: duplicate party row Arcadia/2009-06-07/arc_p1 \(first on line 2\)$"
+        )):
+            load_party_csv(path)
+
 
 class TestReadTable:
     def test_columns_are_read_by_name(self, tmp_path):
@@ -348,4 +361,15 @@ class TestReadTable:
             "lang01,100,120,50.0,51.0,true\n"
         )
         with pytest.raises(RowError, match="line 2: malformed turnout row: outlier: "):
+            list(read_table(path, TURNOUT_SCHEMA, "turnout"))
+
+    def test_undecodable_byte_names_its_line_past_the_first_chunk(self, tmp_path):
+        # the reader decodes in chunks of a few KiB; the line must count from the file start
+        rows = "".join(f"lang{i:04d},100,120,50.0,51.0,0\n" for i in range(2000))
+        path = tmp_path / "t.csv"
+        path.write_bytes(
+            b"language_edition,views_prev,views_curr,turnout_prev,turnout_curr,outlier\n"
+            + rows.encode() + b"Caf\xe9,100,120,50.0,51.0,0\n"
+        )
+        with pytest.raises(RowError, match=r"^line 2002: turnout file .* is not UTF-8"):
             list(read_table(path, TURNOUT_SCHEMA, "turnout"))

@@ -61,6 +61,10 @@ class TestValidateDataset:
         with pytest.raises(ValidationError, match="duplicate"):
             validate_dataset(rows)
 
+    def test_duplicate_key_is_named_as_a_path(self):
+        with pytest.raises(ValidationError, match="key Arcadia/2014-05-25/p1$"):
+            validate_dataset([obs("p1"), obs("p2"), obs("p1")])
+
     def test_single_party_group_rejected(self):
         with pytest.raises(ValidationError, match="at least 2"):
             validate_dataset([obs("p1")])
@@ -121,15 +125,6 @@ class TestValidateDataset:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CurationWarning)
             validate_dataset(rows)
-
-    def test_exactly_five_percent_strict_comparator(self):
-        rows = self.two_party_rows() + [obs("edge", share=5.0, prev=3.0)]
-        with pytest.warns(CurationWarning, match="edge"):
-            validate_dataset(rows, inclusion_comparator=">")
-
-    def test_unknown_comparator_rejected(self):
-        with pytest.raises(ValueError):
-            validate_dataset(self.two_party_rows(), inclusion_comparator="<")
 
 
 class TestVoteChange:
