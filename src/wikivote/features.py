@@ -104,9 +104,7 @@ def build_feature_rows(
         per_party = {}
         for obs in group.observations:
             if obs.key not in window_sums:
-                raise ComputationError(
-                    f"missing window sum for observation {obs.key}"
-                )
+                raise ComputationError(f"missing window sum for observation {obs.label}")
             raw = window_sums[obs.key]
             per_party[obs.party_id] = float(raw.total if isinstance(raw, WindowViews) else raw)
         try:
@@ -150,7 +148,7 @@ def window_sums_from_series(
         if series is None:
             raise ComputationError(
                 f"no page-view series for {obs.wiki_project}/{obs.wiki_page_title} "
-                f"(observation {obs.key})"
+                f"(observation {obs.label})"
             )
         sums[obs.key] = window_views(series, obs.election_date, window_days)
     return sums

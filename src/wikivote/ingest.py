@@ -4,13 +4,17 @@ Two acquisition paths exist on purpose: the live per-article endpoint only
 covers recent years, so historical series arrive as CSV dumps. Missing days
 are absent from a series, never zero-filled; window operations decide their
 own missing-data policy. Every CSV input (parties, page views, turnout
-records, scenarios, page lists) is read by read_table against a schema.
+records, scenarios, page lists) is read against a schema by _table_cells,
+the one csv.reader; read_table converts its cells, and the page-view loader
+converts its own, since that file is by far the largest input.
 """
 
 from __future__ import annotations
 
 import csv
 import io
+import math
+import operator
 import os
 import time
 import warnings
@@ -50,10 +54,14 @@ class PageViewSeries:
     daily: dict[date, int]
 
     def __post_init__(self):
-        ordered = dict(sorted(self.daily.items()))
-        for day, count in ordered.items():
-            if count < 0:
-                raise ValueError(f"{self.page_title} {day}: negative view count {count}")
+        days = list(self.daily)
+        if all(map(operator.lt, days, days[1:])):
+            ordered = dict(self.daily)  # a copy, so the caller's dict stays theirs
+        else:
+            ordered = dict(sorted(self.daily.items()))
+        if min(ordered.values(), default=0) < 0:
+            day, count = next((d, c) for d, c in ordered.items() if c < 0)
+            raise ValueError(f"{self.page_title} {day}: negative view count {count}")
         object.__setattr__(self, "daily", ordered)
 
     @property
@@ -184,8 +192,15 @@ def _flag(text: str) -> bool:
     return text == "1"
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"must be a finite number, got {text!r}")
+    return value
+
+
 def _optional_float(text: str) -> float | None:
-    return float(text) if text != "" else None
+    return _finite_float(text) if text != "" else None
 
 
 # Each schema lists (column, converter) pairs in the order its loader consumes
@@ -197,29 +212,27 @@ PAGES_SCHEMA = PAGEVIEWS_SCHEMA[:2]
 PARTY_SCHEMA = (
     ("country", str), ("election_date", date.fromisoformat), ("party_id", str),
     ("name_english", str), ("name_local", str), ("abbreviation", str),
-    ("is_new", _flag), ("is_incumbent", _flag), ("vote_share", float),
+    ("is_new", _flag), ("is_incumbent", _flag), ("vote_share", _finite_float),
     ("prev_vote_share", _optional_float), ("news_mentions", int),
     ("wiki_project", str), ("wiki_page_title", str),
 )
 TURNOUT_SCHEMA = (
     ("language_edition", str), ("views_prev", int), ("views_curr", int),
-    ("turnout_prev", float), ("turnout_curr", float), ("outlier", _flag),
+    ("turnout_prev", _finite_float), ("turnout_curr", _finite_float), ("outlier", _flag),
 )
 SCENARIO_SCHEMA = (
-    ("party_id", str), ("news_share", float), ("wiki_share", float),
+    ("party_id", str), ("news_share", _finite_float), ("wiki_share", _finite_float),
     ("new_party", _flag), ("incumbent", _flag),
 )
 
 
-def read_table(path, schema, what: str):
-    """Yield (line, values) for every non-blank data row of the CSV at path.
+def _table_cells(path, schema, what: str):
+    """Yield (line, text cells in schema order) for every non-blank data row.
 
     Columns are found by header name, so their order is free and extra
-    columns are ignored; values come in schema order, each cell passed
-    through its column's converter. A missing column raises SchemaError; a
-    short row raises RowError with its line, and a cell its converter rejects
-    raises one with its line and column. A file that is not UTF-8 raises
-    RowError with the line of its first undecodable byte.
+    columns are ignored. A missing column raises SchemaError, a short row
+    RowError with its line, and a file that is not UTF-8 RowError with the
+    line of its first undecodable byte.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -228,21 +241,16 @@ def read_table(path, schema, what: str):
             missing = [name for name, _ in schema if name not in header]
             if missing:
                 raise SchemaError(f"{path}, line 1: missing columns {', '.join(missing)}")
-            columns = [(name, header.index(name), convert) for name, convert in schema]
-            width = max(index for _, index, _ in columns) + 1
+            indices = [header.index(name) for name, _ in schema]
+            width = max(indices) + 1
+            cells = operator.itemgetter(*indices)  # a tuple, as every schema has 2+ columns
             for row in reader:
                 if not row:
                     continue
                 line = reader.line_num
                 if len(row) < width:
                     raise RowError(line, f"malformed {what} row: fewer fields than the header")
-                values = []
-                for name, index, convert in columns:
-                    try:
-                        values.append(convert(row[index]))
-                    except ValueError as exc:
-                        raise RowError(line, f"malformed {what} row: {name}: {exc}") from exc
-                yield line, values
+                yield line, cells(row)
         except UnicodeDecodeError:
             # the error's offset counts from the decoder's buffered chunk, so decode the whole file
             with open(path, "rb") as raw_handle:
@@ -253,6 +261,28 @@ def read_table(path, schema, what: str):
                 line = raw.count(b"\n", 0, exc.start) + 1
                 raise RowError(line, f"{what} file {path} is not UTF-8: {exc.reason}") from None
             raise
+
+
+def _convert_cells(line: int, cells, schema, what: str) -> list:
+    """Each cell passed through its column's converter, as read_table does."""
+    values = []
+    for (name, convert), text in zip(schema, cells):
+        try:
+            values.append(convert(text))
+        except ValueError as exc:
+            raise RowError(line, f"malformed {what} row: {name}: {exc}") from exc
+    return values
+
+
+def read_table(path, schema, what: str):
+    """Yield (line, values) for every non-blank data row of the CSV at path.
+
+    The rows of _table_cells, with its checks; values come in schema order,
+    each cell passed through its column's converter, and a cell its converter
+    rejects raises RowError with its line and column.
+    """
+    for line, cells in _table_cells(path, schema, what):
+        yield line, _convert_cells(line, cells, schema, what)
 
 
 def render_csv(header, rows) -> str:
@@ -274,12 +304,27 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
     counts and malformed rows fail with their line number.
     """
     collected: dict[tuple[str, str], dict[date, int]] = {}
-    for line, (project, title, day, views) in read_table(path, PAGEVIEWS_SCHEMA, "page-view"):
+    # one date object per distinct date string: a file repeats each day once per page
+    dates: dict[str, date] = {}
+    page = day_map = None
+    for line, cells in _table_cells(path, PAGEVIEWS_SCHEMA, "page-view"):
+        project, title, day_text, views_text = cells
+        try:
+            day = dates.get(day_text)
+            if day is None:
+                day = dates[day_text] = date.fromisoformat(day_text)
+            views = int(views_text)
+        except ValueError:
+            # the schema's converters raise the RowError read_table would, naming the column
+            _convert_cells(line, cells, PAGEVIEWS_SCHEMA, "page-view")
+            raise
         if not project or not title:
             raise RowError(line, "empty wiki_project or page_title")
         if views < 0:
             raise RowError(line, f"negative view count {views}")
-        day_map = collected.setdefault((project, title), {})
+        if page != (project, title):
+            page = (project, title)
+            day_map = collected.setdefault(page, {})
         if day in day_map:
             raise RowError(line, f"duplicate day {day} for {project}/{title}")
         day_map[day] = views

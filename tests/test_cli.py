@@ -143,6 +143,16 @@ class TestFeaturesCommand:
         out = capsys.readouterr().out
         assert out.startswith("party_id,")
 
+    def test_missing_page_series_names_the_observation(self, tmp_path, capsys):
+        parties = tmp_path / "parties.csv"
+        # the first row with this title is Arcadia 2009-06-07 arc_p1, on line 3
+        text = (DATA_DIR / "demo_parties.csv").read_text()
+        parties.write_text(text.replace(",Progress Party (Arcadia)\n", ",No Such Page\n", 1))
+        assert main(["features", "--dataset", str(parties), "--pageviews", PAGEVIEWS]) == 3
+        err = capsys.readouterr().err
+        assert "ar.wikipedia/No Such Page (observation Arcadia/2009-06-07/arc_p1)" in err
+        assert "datetime.date(" not in err
+
 
 class TestPredictCommand:
     def scenario(self, tmp_path, rows):
@@ -408,6 +418,7 @@ INPUT_DEFECTS = {
     ("parties", "negative_count"): "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,15.0,-1,aa.wikipedia,B\n",
     ("parties", "duplicate_key"): "Arcadia,2014-05-25,p1,B,B,B,0,0,20.0,15.0,120,aa.wikipedia,B\n",
     ("parties", "not_utf8"): b"Arcadia,2014-05-25,p2,Caf\xe9,B,B,0,0,20.0,15.0,120,aa.wikipedia,B\n",
+    ("parties", "nan"): "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,nan,120,aa.wikipedia,B\n",
     ("pageviews", "missing_column"): "date",
     ("pageviews", "short_row"): "aa.wikipedia,X\n",
     ("pageviews", "bad_number"): "aa.wikipedia,X,2014-05-19,many\n",
@@ -423,6 +434,8 @@ INPUT_DEFECTS = {
     ("scenario", "short_row"): "b,10.0\n",
     ("scenario", "bad_number"): "b,lots,10.0,0,0\n",
     ("scenario", "bad_flag"): "b,10.0,10.0,yes,0\n",
+    ("scenario", "inf"): "b,inf,10.0,0,0\n",
+    ("scenario", "nan"): "b,10.0,nan,0,0\n",
     ("pages", "missing_column"): "wiki_project",
     ("pages", "short_row"): "bb.wikipedia\n",
 }
@@ -451,3 +464,37 @@ class TestMalformedInputs:
             assert "line 1" in err and bad in err
         else:
             assert "line 4" in err
+        if defect in ("inf", "nan"):
+            assert "must be a finite number" in err
+
+
+# rows after a page boundary (A, A, B): the defect sits on line 5, in page B or back in A
+PAGEVIEW_ROW_ERRORS = {
+    "first_seen_bad_date": ("aa.wikipedia,B,2014-02-30,5",
+                            "malformed page-view row: date: day is out of range for month"),
+    "bad_views": ("aa.wikipedia,B,2014-05-19,5x",
+                  "malformed page-view row: views: invalid literal for int() with base 10: '5x'"),
+    "negative_count": ("aa.wikipedia,B,2014-05-19,-4", "negative view count -4"),
+    "duplicate_day": ("aa.wikipedia,A,2014-05-18,9",
+                      "duplicate day 2014-05-18 for aa.wikipedia/A"),
+    "empty_title": ("aa.wikipedia,,2014-05-19,5", "empty wiki_project or page_title"),
+}
+
+
+class TestPageViewRowErrors:
+    @pytest.mark.parametrize("defect", list(PAGEVIEW_ROW_ERRORS))
+    def test_exit_3_with_line_and_message(self, tmp_path, capsys, defect):
+        row, message = PAGEVIEW_ROW_ERRORS[defect]
+        path = tmp_path / "views.csv"
+        path.write_text(
+            "wiki_project,page_title,date,views\n"
+            "aa.wikipedia,A,2014-05-18,1\n"
+            "aa.wikipedia,A,2014-05-19,2\n"
+            "aa.wikipedia,B,2014-05-18,3\n"
+            f"{row}\n"
+            "aa.wikipedia,B,2014-05-20,4\n"
+        )
+        code = main(["attention", "--pageviews", str(path), "--election-date", "2014-05-25",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err == f"wikivote: line 5: {message}\n"

@@ -1,9 +1,12 @@
 """Acquisition paths: REST client against a scripted session, CSV loaders."""
 
+import csv
 from datetime import date
 
 import pytest
 import requests
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, FakeResponse, FakeSession, pageview_payload
 from wikivote.errors import (
@@ -30,6 +33,8 @@ from wikivote.ingest import (
 )
 
 WEEK = [(date(2014, 5, 18 + i), 100 + i) for i in range(7)]
+PAGES = [("aa.wikipedia", "A"), ("aa.wikipedia", "B, with comma"), ("bb.wikipedia", "A")]
+DAYS = [date(2014, 5, 18 + i).isoformat() for i in range(6)]
 
 
 def no_sleep(_):
@@ -46,6 +51,21 @@ class TestPageViewSeries:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             PageViewSeries("aa.wikipedia", "X", {date(2014, 5, 18): -1})
+
+    def test_negative_count_names_its_first_day_in_date_order(self):
+        with pytest.raises(ValueError, match="^X 2014-05-18: negative view count -1$"):
+            PageViewSeries("aa.wikipedia", "X", {
+                date(2014, 5, 20): -3, date(2014, 5, 19): 2, date(2014, 5, 18): -1,
+            })
+
+    @pytest.mark.parametrize("ordered", [True, False], ids=["ordered", "unordered"])
+    def test_callers_dict_is_copied(self, ordered):
+        daily = dict(WEEK if ordered else reversed(WEEK))
+        series = PageViewSeries("aa.wikipedia", "X", daily)
+        daily[date(2014, 5, 18)] = 999
+        daily[date(2014, 6, 1)] = 1
+        assert series.daily == dict(WEEK)
+        assert list(series.daily) == [day for day, _ in WEEK]
 
     def test_views_between_is_inclusive(self):
         series = PageViewSeries("aa.wikipedia", "X", dict(WEEK))
@@ -229,6 +249,36 @@ class TestPageviewsCsv:
         path.write_text("wiki_project,page_title,views\naa.wikipedia,X,5\n")
         with pytest.raises(SchemaError, match="date"):
             load_pageviews_csv(path)
+
+    @given(st.lists(
+        st.tuples(st.sampled_from(PAGES), st.sampled_from(DAYS), st.integers(0, 10**9)),
+        unique_by=lambda row: row[:2], max_size=40,
+    ))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_a_dictreader_reference(self, tmp_path_factory, rows):
+        # rows come in any order: pages interleave and each date string recurs across pages
+        path = tmp_path_factory.mktemp("views") / "v.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["views", "date", "wiki_project", "page_title"])
+            writer.writerows([views, day, project, title] for (project, title), day, views in rows)
+        expected: dict[tuple[str, str], dict[date, int]] = {}
+        with open(path, newline="", encoding="utf-8") as handle:
+            for record in csv.DictReader(handle):
+                page = (record["wiki_project"], record["page_title"])
+                expected.setdefault(page, {})[date.fromisoformat(record["date"])] = int(
+                    record["views"]
+                )
+
+        loaded = load_pageviews_csv(path)
+        assert [(s.wiki_project, s.page_title, list(s.daily.items())) for s in loaded] == [
+            (project, title, sorted(daily.items()))
+            for (project, title), daily in sorted(expected.items())
+        ]
+        # each distinct date string becomes one date object, shared by every page
+        assert len({id(day) for s in loaded for day in s.daily}) == len(
+            {day for _, day, _ in rows}
+        )
 
 
 class TestResolvePageVariant:
