@@ -273,6 +273,38 @@ def cmd_turnout(args, parser) -> int:
     return EXIT_OK
 
 
+class _Memo(dict):
+    """fn(key), computed on the first lookup of each key and kept."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
+    """The `series_id,date,views,log_views` plot CSV, the text csv.writer would give.
+
+    Only the series id can need CSV quoting, so render_csv encodes it once per
+    series; the `date,` text of each day and the `views,log_views` line end of
+    each count are formatted once and reused.
+    """
+    day_cells = _Memo(lambda day: f"{day.isoformat()},")
+    count_cells = _Memo(lambda views: f"{views},{repr(math.log(views)) if views > 0 else ''}\n")
+    chunks = [ingest.render_csv(["series_id", "date", "views", "log_views"], [])]
+    for series in series_list:
+        prefix = ingest.render_csv([f"{series.wiki_project}:{series.page_title}"], [])[:-1] + ","
+        # each row is three parts: the quoted id and comma, `date,` and `views,log_views\n`
+        parts = [prefix] * (3 * len(series.days))
+        parts[1::3] = map(day_cells.__getitem__, series.days)
+        parts[2::3] = map(count_cells.__getitem__, series.counts)
+        chunks.append("".join(parts))
+    return "".join(chunks)
+
+
 def cmd_attention(args, parser) -> int:
     series_list = ingest.load_pageviews_csv(args.pageviews)
     output_dir = Path(args.output_dir)
@@ -291,7 +323,7 @@ def cmd_attention(args, parser) -> int:
             dynamics.append({
                 "series_id": series_id,
                 "status": "ok",
-                **asdict(dyn),
+                **vars(dyn),  # its fields in order; asdict would deep-copy each of them
                 "peak_date": dyn.peak_date.isoformat(),
             })
             succeeded += 1
@@ -302,16 +334,8 @@ def cmd_attention(args, parser) -> int:
                         outputs=[], errors=[d.get("error", "") for d in dynamics])
         raise DataError("attention analysis failed for every series")
 
-    def plot_rows():
-        for series in series_list:
-            series_id = f"{series.wiki_project}:{series.page_title}"
-            for day, views in series.daily.items():
-                log_views = repr(math.log(views)) if views > 0 else ""
-                yield series_id, day.isoformat(), views, log_views
-
     _atomic_write(output_dir / "attention_dynamics.json", json.dumps(dynamics, indent=2) + "\n")
-    _atomic_write(output_dir / "attention_series.csv", ingest.render_csv(
-        ["series_id", "date", "views", "log_views"], plot_rows()))
+    _atomic_write(output_dir / "attention_series.csv", _render_attention_series(series_list))
     _write_manifest(
         output_dir, "attention", config, status="ok",
         outputs=["attention_dynamics.json", "attention_series.csv"],

@@ -8,6 +8,7 @@ nothing to a window sum but are reported through the coverage count.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
 from typing import Mapping, NamedTuple
@@ -56,14 +57,15 @@ def window_views(
     """Sum views over the window_days days ending the day before the election."""
     start = election_date - timedelta(days=window_days)
     end = election_date - timedelta(days=1)
-    days = [d for d in series.daily if start <= d <= end]
-    if not days:
+    lo = bisect_left(series.days, start)
+    hi = bisect_right(series.days, end, lo)
+    if lo == hi:
         raise ComputationError(
             f"no data in window [{start}, {end}] for "
             f"{series.wiki_project}/{series.page_title}"
         )
-    total = sum(series.daily[d] for d in days)
-    return WindowViews(total=total, days_covered=len(days), window_days=window_days)
+    total = sum(series.counts[lo:hi])
+    return WindowViews(total=total, days_covered=hi - lo, window_days=window_days)
 
 
 def _shares(counts: Mapping[str, float], what: str) -> dict[str, float]:

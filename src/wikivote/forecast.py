@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from bisect import bisect_left, bisect_right
+from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date, timedelta
 
@@ -289,7 +291,9 @@ def turnout_analysis(
     return TurnoutReport(correlation=correlation, ratios=ratios)
 
 
-def _log_linear_rate(days: list[date], counts: list[int], origin: date) -> tuple[float, float]:
+def _log_linear_rate(
+    days: Sequence[date], counts: Sequence[int], origin: date
+) -> tuple[float, float]:
     """Slope and r² of ln(views) against day offsets; zero-count days dropped."""
     t, logv = [], []
     for day, count in zip(days, counts):
@@ -327,13 +331,17 @@ def attention_dynamics(
     """
     window_start = election_date - timedelta(days=window_days)
     window_end = election_date + timedelta(days=window_days)
-    in_window = [(d, v) for d, v in series.daily.items() if window_start <= d <= window_end]
-    if not in_window:
+    days, counts = series.days, series.counts
+    lo = bisect_left(days, window_start)
+    hi = bisect_right(days, window_end, lo)
+    if lo == hi:
         raise ComputationError(
             f"{series.wiki_project}/{series.page_title}: no data within "
             f"{window_days} days of {election_date}"
         )
-    peak_date = max(in_window, key=lambda item: (item[1], -item[0].toordinal()))[0]
+    # max keeps the first of equal counts, and days increase: a tie goes to the earliest date
+    peak = max(range(lo, hi), key=counts.__getitem__)
+    peak_date = days[peak]
     if peak_date in (window_start, window_end):
         raise ComputationError(
             f"{series.wiki_project}/{series.page_title}: peak not interior "
@@ -341,16 +349,10 @@ def attention_dynamics(
         )
 
     # fit windows hang off the peak, not the search window
-    up_days = [
-        d for d in series.daily
-        if peak_date - timedelta(days=window_days) <= d < peak_date
-    ]
-    down_days = [
-        d for d in series.daily
-        if peak_date < d <= peak_date + timedelta(days=window_days)
-    ]
-    up_slope, up_r2 = _log_linear_rate(up_days, [series.daily[d] for d in up_days], peak_date)
-    down_slope, down_r2 = _log_linear_rate(down_days, [series.daily[d] for d in down_days], peak_date)
+    up = bisect_left(days, peak_date - timedelta(days=window_days), 0, peak)
+    down = bisect_right(days, peak_date + timedelta(days=window_days), peak)
+    up_slope, up_r2 = _log_linear_rate(days[up:peak], counts[up:peak], peak_date)
+    down_slope, down_r2 = _log_linear_rate(days[peak + 1:down], counts[peak + 1:down], peak_date)
     return AttentionDynamics(
         peak_date=peak_date,
         lambda_up=up_slope,

@@ -4,9 +4,10 @@ Two acquisition paths exist on purpose: the live per-article endpoint only
 covers recent years, so historical series arrive as CSV dumps. Missing days
 are absent from a series, never zero-filled; window operations decide their
 own missing-data policy. Every CSV input (parties, page views, turnout
-records, scenarios, page lists) is read against a schema by _table_cells,
-the one csv.reader; read_table converts its cells, and the page-view loader
-converts its own, since that file is by far the largest input.
+records, scenarios, page lists) is read against a schema through _table,
+the one csv.reader: read_table converts the cells of _table_cells, and the
+page-view loader walks the reader itself and converts its own cells into
+columns, since that file is by far the largest input.
 """
 
 from __future__ import annotations
@@ -18,7 +19,11 @@ import operator
 import os
 import time
 import warnings
+from array import array
+from bisect import bisect_left, bisect_right
+from collections.abc import Mapping
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple
@@ -42,34 +47,82 @@ DEFAULT_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews/per-arti
 BASE_URL_ENV_VAR = "WIKIVOTE_PAGEVIEWS_BASE_URL"
 
 
-@dataclass(frozen=True)
+class DailyView(Mapping):
+    """Read-only {day: views} mapping over a series' two columns, in date order."""
+
+    __slots__ = ("_days", "_counts")
+
+    def __init__(self, days: tuple[date, ...], counts: array):
+        self._days = days
+        self._counts = counts
+
+    def __len__(self) -> int:
+        return len(self._days)
+
+    def __iter__(self):
+        return iter(self._days)
+
+    def __getitem__(self, day: date) -> int:
+        try:
+            i = bisect_left(self._days, day)
+        except TypeError:  # a key that does not compare with dates, such as a str
+            raise KeyError(day) from None
+        if i < len(self._days) and self._days[i] == day:
+            return self._counts[i]
+        raise KeyError(day)
+
+
+@dataclass(frozen=True, init=False)
 class PageViewSeries:
     """Daily view counts for one article in one language edition.
 
-    Dates are kept strictly increasing; days without data are simply absent.
+    Two columns: `days`, strictly increasing `date`s, and `counts`, the views
+    of each day (array('q')). Days without data are simply absent. `daily` is
+    a read-only {day: views} view over the columns.
     """
 
     wiki_project: str
     page_title: str
-    daily: dict[date, int]
+    days: tuple[date, ...]
+    counts: array
 
-    def __post_init__(self):
-        days = list(self.daily)
-        if all(map(operator.lt, days, days[1:])):
-            ordered = dict(self.daily)  # a copy, so the caller's dict stays theirs
-        else:
-            ordered = dict(sorted(self.daily.items()))
-        if min(ordered.values(), default=0) < 0:
-            day, count = next((d, c) for d, c in ordered.items() if c < 0)
-            raise ValueError(f"{self.page_title} {day}: negative view count {count}")
-        object.__setattr__(self, "daily", ordered)
+    def __init__(self, wiki_project: str, page_title: str, daily: Mapping[date, int]):
+        days = tuple(daily)
+        if not all(map(operator.lt, days, days[1:])):
+            days = tuple(sorted(days))
+        try:
+            counts = array("q", map(daily.__getitem__, days))
+        except OverflowError:
+            raise ValueError(f"{page_title}: a view count does not fit in 64 bits") from None
+        if min(counts, default=0) < 0:
+            i = next(i for i, count in enumerate(counts) if count < 0)
+            raise ValueError(f"{page_title} {days[i]}: negative view count {counts[i]}")
+        self._fill(wiki_project, page_title, days, counts)
+
+    @classmethod
+    def _from_columns(cls, wiki_project, page_title, days, counts) -> "PageViewSeries":
+        """A series from columns already checked: days increasing, counts >= 0."""
+        series = cls.__new__(cls)
+        series._fill(wiki_project, page_title, days, counts)
+        return series
+
+    def _fill(self, wiki_project, page_title, days, counts) -> None:
+        for name, value in (("wiki_project", wiki_project), ("page_title", page_title),
+                            ("days", days), ("counts", counts)):
+            object.__setattr__(self, name, value)
+
+    @property
+    def daily(self) -> DailyView:
+        return DailyView(self.days, self.counts)
 
     @property
     def key(self) -> tuple[str, str]:
         return (self.wiki_project, self.page_title)
 
     def views_between(self, start: date, end: date) -> int:
-        return sum(v for d, v in self.daily.items() if start <= d <= end)
+        """Views summed over the days in [start, end]."""
+        lo = bisect_left(self.days, start)
+        return sum(self.counts[lo:bisect_right(self.days, end, lo)])
 
 
 @dataclass(frozen=True)
@@ -84,6 +137,8 @@ class FetchPolicy:
             raise ValueError("max_in_flight must be >= 1")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
+        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
+            raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
 
 
 def _base_url(override: str | None) -> str:
@@ -226,13 +281,16 @@ SCENARIO_SCHEMA = (
 )
 
 
-def _table_cells(path, schema, what: str):
-    """Yield (line, text cells in schema order) for every non-blank data row.
+@contextmanager
+def _table(path, schema, what: str):
+    """Open the CSV at path and yield (reader, cells, width) past its header.
 
     Columns are found by header name, so their order is free and extra
-    columns are ignored. A missing column raises SchemaError, a short row
-    RowError with its line, and a file that is not UTF-8 RowError with the
-    line of its first undecodable byte.
+    columns are ignored: cells(row) gives a row's text cells in schema order,
+    and a row needs width fields for it. A missing column raises SchemaError.
+    Inside the block, a csv.Error (say, a field over the csv module's size
+    limit) becomes RowError with the reader's line, and a file that is not
+    UTF-8 RowError with the line of its first undecodable byte.
     """
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
@@ -242,15 +300,10 @@ def _table_cells(path, schema, what: str):
             if missing:
                 raise SchemaError(f"{path}, line 1: missing columns {', '.join(missing)}")
             indices = [header.index(name) for name, _ in schema]
-            width = max(indices) + 1
-            cells = operator.itemgetter(*indices)  # a tuple, as every schema has 2+ columns
-            for row in reader:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) < width:
-                    raise RowError(line, f"malformed {what} row: fewer fields than the header")
-                yield line, cells(row)
+            # a tuple, as every schema has 2+ columns; IndexError on a short row
+            yield reader, operator.itemgetter(*indices), max(indices) + 1
+        except csv.Error as exc:
+            raise RowError(reader.line_num, f"malformed {what} row: {exc}") from None
         except UnicodeDecodeError:
             # the error's offset counts from the decoder's buffered chunk, so decode the whole file
             with open(path, "rb") as raw_handle:
@@ -261,6 +314,25 @@ def _table_cells(path, schema, what: str):
                 line = raw.count(b"\n", 0, exc.start) + 1
                 raise RowError(line, f"{what} file {path} is not UTF-8: {exc.reason}") from None
             raise
+
+
+def _short_row(line: int, what: str) -> RowError:
+    return RowError(line, f"malformed {what} row: fewer fields than the header")
+
+
+def _table_cells(path, schema, what: str):
+    """Yield (line, text cells in schema order) for every non-blank data row.
+
+    The checks of _table, plus a short row raising RowError with its line.
+    """
+    with _table(path, schema, what) as (reader, cells, width):
+        for row in reader:
+            if not row:
+                continue
+            line = reader.line_num
+            if len(row) < width:
+                raise _short_row(line, what)
+            yield line, cells(row)
 
 
 def _convert_cells(line: int, cells, schema, what: str) -> list:
@@ -300,38 +372,77 @@ def render_csv(header, rows) -> str:
 def load_pageviews_csv(path) -> list[PageViewSeries]:
     """Load `wiki_project,page_title,date,views` rows into one series per page.
 
-    Rows may arrive in any date order; each series is re-sorted. Negative
-    counts and malformed rows fail with their line number.
+    One pass over the file appends each row to its page's two columns. Rows
+    may arrive in any date order, and a page's rows need not be contiguous;
+    a page whose days went out of order is sorted at the end. Negative
+    counts, repeated days and malformed rows fail with their line number.
     """
-    collected: dict[tuple[str, str], dict[date, int]] = {}
+    # per page: [days, counts, latest day, set of its days once they went out of order]
+    pages: dict[tuple[str, str], list] = {}
     # one date object per distinct date string: a file repeats each day once per page
     dates: dict[str, date] = {}
-    page = day_map = None
-    for line, cells in _table_cells(path, PAGEVIEWS_SCHEMA, "page-view"):
-        project, title, day_text, views_text = cells
-        try:
-            day = dates.get(day_text)
-            if day is None:
-                day = dates[day_text] = date.fromisoformat(day_text)
-            views = int(views_text)
-        except ValueError:
-            # the schema's converters raise the RowError read_table would, naming the column
-            _convert_cells(line, cells, PAGEVIEWS_SCHEMA, "page-view")
-            raise
-        if not project or not title:
-            raise RowError(line, "empty wiki_project or page_title")
-        if views < 0:
-            raise RowError(line, f"negative view count {views}")
-        if page != (project, title):
-            page = (project, title)
-            day_map = collected.setdefault(page, {})
-        if day in day_map:
-            raise RowError(line, f"duplicate day {day} for {project}/{title}")
-        day_map[day] = views
-    return [
-        PageViewSeries(wiki_project=project, page_title=title, daily=daily)
-        for (project, title), daily in sorted(collected.items())
-    ]
+    project = title = None
+    days = counts = latest = seen = None
+    with _table(path, PAGEVIEWS_SCHEMA, "page-view") as (reader, cells, width):
+        # with the header's columns in schema order, a four-field row unpacks as it is
+        in_order = cells(range(width)) == (0, 1, 2, 3)
+        for row in reader:
+            try:
+                row_project, row_title, day_text, views_text = row if in_order else cells(row)
+            except (ValueError, IndexError):  # a row of other than four fields
+                if not row:
+                    continue
+                if len(row) < width:
+                    raise _short_row(reader.line_num, "page-view") from None
+                row_project, row_title, day_text, views_text = cells(row)
+            try:
+                day = dates.get(day_text)
+                if day is None:
+                    day = dates[day_text] = date.fromisoformat(day_text)
+                views = int(views_text)
+            except ValueError:
+                # the schema's converters raise the RowError read_table would, naming the column
+                _convert_cells(reader.line_num, cells(row), PAGEVIEWS_SCHEMA, "page-view")
+                raise
+            if row_title != title or row_project != project:
+                if not row_project or not row_title:
+                    raise RowError(reader.line_num, "empty wiki_project or page_title")
+                if days is not None:
+                    pages[project, title][2:] = latest, seen
+                project, title = row_project, row_title
+                days, counts, latest, seen = pages.setdefault(
+                    (project, title), [[], array("q"), date.min, None])
+                add_day, add_count = days.append, counts.append
+            if views < 0:
+                raise RowError(reader.line_num, f"negative view count {views}")
+            if day > latest:
+                latest = day
+                if seen is not None:
+                    seen.add(day)
+            else:
+                if seen is None:
+                    seen = set(days)
+                if day in seen:
+                    raise RowError(reader.line_num, f"duplicate day {day} for {project}/{title}")
+                seen.add(day)
+            try:
+                add_count(views)
+            except OverflowError:
+                raise RowError(reader.line_num,
+                               f"malformed page-view row: views: {views} is too large") from None
+            add_day(day)
+    if days is not None:
+        pages[project, title][2:] = latest, seen
+    return [_sorted_series(key, days, counts, seen)
+            for key, (days, counts, _, seen) in sorted(pages.items())]
+
+
+def _sorted_series(key, days, counts, seen) -> PageViewSeries:
+    if seen is not None:  # the days went out of order: sort both columns by day
+        order = sorted(range(len(days)), key=days.__getitem__)
+        days = [days[i] for i in order]
+        counts = array("q", map(counts.__getitem__, order))
+    return PageViewSeries._from_columns(*key, tuple(days), counts)
 
 
 def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:
@@ -340,7 +451,7 @@ def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:
         [name for name, _ in PAGEVIEWS_SCHEMA],
         ((series.wiki_project, series.page_title, day.isoformat(), views)
          for series in sorted(series_list, key=lambda s: s.key)
-         for day, views in series.daily.items()),
+         for day, views in zip(series.days, series.counts)),
     )
 
 

@@ -1,9 +1,13 @@
 """Command-line behavior: formats, exit codes, determinism, partial-file rules."""
 
+import csv
+import io
 import json
+import math
 import re
 
 import pytest
+import responses
 
 from conftest import DATA_DIR
 from wikivote.cli import main
@@ -276,6 +280,30 @@ class TestAttentionCommand:
         assert series_csv[0] == "series_id,date,views,log_views"
         assert len(series_csv) == 1 + 14 * 71
 
+    def test_quoted_title_rows_match_csv_writer(self, tmp_path, capsys):
+        # the series id needs CSV quoting; every other plot cell is plain text
+        title = 'Party "Unity", Reformed'
+        views = tmp_path / "views.csv"
+        with open(views, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.writer(handle)
+            writer.writerow(["wiki_project", "page_title", "date", "views"])
+            # a hump that peaks on 2014-05-16, after a day with no views
+            counts = [0, *range(1000, 8500, 500), *range(7600, 1500, -400)]
+            writer.writerows(["aa.wikipedia", title, f"2014-05-{day:02d}", count]
+                             for day, count in zip(range(1, 32), counts))
+        out = tmp_path / "att"
+        assert main(["attention", "--pageviews", str(views), "--election-date", "2014-05-16",
+                     "--window-days", "15", "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        expected = io.StringIO()
+        writer = csv.writer(expected, lineterminator="\n")
+        writer.writerow(["series_id", "date", "views", "log_views"])
+        writer.writerow([f"aa.wikipedia:{title}", "2014-05-01", 0, ""])
+        writer.writerow([f"aa.wikipedia:{title}", "2014-05-02", 1000, repr(math.log(1000))])
+        text = (out / "attention_series.csv").read_text(encoding="utf-8")
+        assert text.startswith(expected.getvalue())
+        assert text.count("\n") == 32
+
     def test_partial_failure_still_succeeds(self, tmp_path, capsys):
         views = tmp_path / "views.csv"
         lines = ["wiki_project,page_title,date,views\n"]
@@ -338,6 +366,17 @@ class TestIngestCommand:
         err = capsys.readouterr().err
         assert code == 4
         assert "Unity Party" in err
+
+    @pytest.mark.parametrize("base", ["-1", "nan", "inf"])
+    @responses.activate
+    def test_bad_backoff_base_is_usage_error_before_any_request(self, capsys, base):
+        code = main([
+            "ingest", "--project", "aa.wikipedia", "--title", "Unity Party",
+            "--start", "2014-05-18", "--end", "2014-05-24", "--backoff-base", base,
+        ])
+        assert code == 2
+        assert "backoff_base must be a finite number >= 0" in capsys.readouterr().err
+        assert len(responses.calls) == 0
 
     def test_start_after_end_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -479,6 +518,34 @@ PAGEVIEW_ROW_ERRORS = {
                       "duplicate day 2014-05-18 for aa.wikipedia/A"),
     "empty_title": ("aa.wikipedia,,2014-05-19,5", "empty wiki_project or page_title"),
 }
+
+
+class TestOverlongField:
+    """A cell over the csv module's field limit exits 3 naming its line."""
+
+    def long_row(self):
+        return f"aa.wikipedia,{'T' * (csv.field_size_limit() + 1)},2014-05-19,5\n"
+
+    def test_page_view_file(self, tmp_path, capsys):
+        path = tmp_path / "views.csv"
+        path.write_text("wiki_project,page_title,date,views\naa.wikipedia,A,2014-05-18,1\n"
+                        + self.long_row())
+        code = main(["attention", "--pageviews", str(path), "--election-date", "2014-05-25",
+                     "--output-dir", str(tmp_path / "out")])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "wikivote: line 3: malformed page-view row: field larger than field limit")
+
+    def test_page_list(self, tmp_path, capsys, monkeypatch):
+        # a refused local port: no page fetch can reach a real host
+        monkeypatch.setenv("WIKIVOTE_PAGEVIEWS_BASE_URL", "http://127.0.0.1:9/views")
+        path = tmp_path / "pages.csv"
+        path.write_text("wiki_project,page_title\n" + self.long_row())
+        code = main(["ingest", "--pages", str(path), "--start", "2014-05-18",
+                     "--end", "2014-05-24"])
+        assert code == 3
+        assert capsys.readouterr().err.startswith(
+            "wikivote: line 2: malformed page list row: field larger than field limit")
 
 
 class TestPageViewRowErrors:

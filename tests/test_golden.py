@@ -1,0 +1,36 @@
+"""Golden outputs: the exact bytes of the reports on data/, pinned by SHA-256.
+
+Run-to-run equality (test_reports_are_byte_identical_across_runs) cannot
+catch a change that alters every run alike; these digests can. None of the
+pinned files depends on BLAS: they hold shares, window sums and log views,
+never a fitted coefficient. A digest changes only with an intended change
+of output format or content, and then the new digest goes here with it.
+"""
+
+import hashlib
+
+from conftest import DATA_DIR
+from wikivote.cli import main
+
+PARTIES = str(DATA_DIR / "demo_parties.csv")
+PAGEVIEWS = str(DATA_DIR / "demo_pageviews.csv")
+GENERAL = str(DATA_DIR / "demo_general_pages.csv")
+
+DIGESTS = {
+    "features.csv": "bd9a2e59efa7b986816da6aa45a7fef81006dadf64a40ec8d7b90d6cecda6290",
+    "report_shares.csv": "1aeb0d4199da44b8f6ed015e70e3cd778772a7bca6a9c273e6574fd26e18f663",
+    "report_scatter.csv": "5a31a0d9d36b3b0a41ea8520aeb817ce5eaa2b2debdace2922a8708b541341a9",
+    "attention_series.csv": "8b1634370b14fccc808424576738a23e897fad6f7870abc5ceab384fa75f9023",
+}
+
+
+def test_outputs_on_data_match_their_digests(tmp_path, capsys):
+    feature_args = ["--dataset", PARTIES, "--pageviews", PAGEVIEWS]
+    assert main(["features", *feature_args, "--out", str(tmp_path / "features.csv")]) == 0
+    assert main(["report", *feature_args, "--output-dir", str(tmp_path)]) == 0
+    assert main(["attention", "--pageviews", GENERAL, "--election-date", "2014-05-25",
+                 "--output-dir", str(tmp_path)]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in DIGESTS}
+    assert digests == DIGESTS

@@ -1,7 +1,10 @@
 """Acquisition paths: REST client against a scripted session, CSV loaders."""
 
 import csv
-from datetime import date
+import tracemalloc
+from array import array
+from collections.abc import Mapping
+from datetime import date, timedelta
 
 import pytest
 import requests
@@ -52,6 +55,10 @@ class TestPageViewSeries:
         with pytest.raises(ValueError):
             PageViewSeries("aa.wikipedia", "X", {date(2014, 5, 18): -1})
 
+    def test_count_beyond_64_bits_rejected(self):
+        with pytest.raises(ValueError, match="^X: a view count does not fit in 64 bits$"):
+            PageViewSeries("aa.wikipedia", "X", {date(2014, 5, 18): 2**63})
+
     def test_negative_count_names_its_first_day_in_date_order(self):
         with pytest.raises(ValueError, match="^X 2014-05-18: negative view count -1$"):
             PageViewSeries("aa.wikipedia", "X", {
@@ -66,6 +73,22 @@ class TestPageViewSeries:
         daily[date(2014, 6, 1)] = 1
         assert series.daily == dict(WEEK)
         assert list(series.daily) == [day for day, _ in WEEK]
+
+    def test_columns_and_a_read_only_daily_view(self):
+        series = PageViewSeries("aa.wikipedia", "X", dict(reversed(WEEK)))
+        assert series.days == tuple(day for day, _ in WEEK)
+        assert series.counts == array("q", [views for _, views in WEEK])
+        assert isinstance(series.daily, Mapping)
+        assert series.daily[date(2014, 5, 20)] == 102
+        assert date(2014, 5, 25) not in series.daily
+        assert "2014-05-18" not in series.daily  # as for a dict, not a TypeError
+        with pytest.raises(KeyError):
+            series.daily[date(2014, 5, 25)]
+        with pytest.raises(TypeError):
+            series.daily[date(2014, 5, 18)] = 1
+        assert len(series.daily.items()) == 7 and list(series.daily.values())[0] == 100
+        assert series == PageViewSeries("aa.wikipedia", "X", dict(WEEK))
+        assert series != PageViewSeries("aa.wikipedia", "X", dict(WEEK[1:]))
 
     def test_views_between_is_inclusive(self):
         series = PageViewSeries("aa.wikipedia", "X", dict(WEEK))
@@ -244,6 +267,77 @@ class TestPageviewsCsv:
         with pytest.raises(RowError, match="duplicate"):
             load_pageviews_csv(path)
 
+    def test_fields_past_the_header_are_ignored(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text(
+            "wiki_project,page_title,date,views\n"
+            "aa.wikipedia,X,2014-05-18,1,note\n"
+            "\n"
+            "aa.wikipedia,X,2014-05-19,2\n"
+        )
+        (series,) = load_pageviews_csv(path)
+        assert series.daily == {date(2014, 5, 18): 1, date(2014, 5, 19): 2}
+
+    def test_duplicate_day_in_a_later_run_of_the_page_names_its_line(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text(
+            "wiki_project,page_title,date,views\n"
+            "aa.wikipedia,X,2014-05-18,1\n"
+            "aa.wikipedia,X,2014-05-19,2\n"
+            "aa.wikipedia,Y,2014-05-18,3\n"
+            "aa.wikipedia,X,2014-05-20,4\n"
+            "aa.wikipedia,X,2014-05-19,5\n"
+        )
+        with pytest.raises(RowError, match="^line 6: duplicate day 2014-05-19 for aa.wikipedia/X$"):
+            load_pageviews_csv(path)
+
+    def test_backwards_page_loads_as_the_sorted_file(self, tmp_path):
+        rows = [(title, date(2014, 5, 1) + timedelta(days=i), 1000 + 7 * i + len(title))
+                for title in ("X", "Y") for i in range(40)]
+        ordered, backwards = tmp_path / "ordered.csv", tmp_path / "backwards.csv"
+        for path, page_rows in ((ordered, rows), (backwards, rows[::-1])):
+            path.write_text("wiki_project,page_title,date,views\n" + "".join(
+                f"aa.wikipedia,{title},{day},{views}\n" for title, day, views in page_rows))
+        loaded = load_pageviews_csv(backwards)
+        assert loaded == load_pageviews_csv(ordered)
+        assert [s.days for s in loaded] == [tuple(sorted(s.days)) for s in loaded]
+
+    def test_csv_error_names_its_line(self, tmp_path):
+        # the csv module refuses a field over its limit, 131 072 characters by default
+        path = tmp_path / "v.csv"
+        path.write_text(
+            "wiki_project,page_title,date,views\n"
+            "aa.wikipedia,X,2014-05-18,1\n"
+            f"aa.wikipedia,{'T' * (csv.field_size_limit() + 1)},2014-05-18,1\n"
+        )
+        with pytest.raises(RowError, match="^line 3: malformed page-view row: field larger than"):
+            load_pageviews_csv(path)
+
+    def test_count_beyond_64_bits_names_its_line(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text(f"wiki_project,page_title,date,views\naa.wikipedia,X,2014-05-18,{2**63}\n")
+        with pytest.raises(RowError, match="^line 2: malformed page-view row: views: .* too large"):
+            load_pageviews_csv(path)
+
+    def test_retained_bytes_per_row(self, tmp_path):
+        # counts >= 1 000 are not cached small ints: a dict per series kept ~60 B per row
+        pages, days = 100, 365
+        path = tmp_path / "v.csv"
+        with open(path, "w", newline="", encoding="utf-8") as handle:
+            handle.write("wiki_project,page_title,date,views\n")
+            for page in range(pages):
+                handle.writelines(
+                    f"aa.wikipedia,Page {page:03d},{date(2014, 1, 1) + timedelta(days=i)},"
+                    f"{1000 + page * days + i}\n" for i in range(days))
+        tracemalloc.start()
+        try:
+            loaded = load_pageviews_csv(path)
+            retained, _ = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert sum(len(s.days) for s in loaded) == pages * days
+        assert retained / (pages * days) <= 24
+
     def test_missing_column_is_schema_error(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text("wiki_project,page_title,views\naa.wikipedia,X,5\n")
@@ -411,6 +505,17 @@ class TestReadTable:
             "lang01,100,120,50.0,51.0,true\n"
         )
         with pytest.raises(RowError, match="line 2: malformed turnout row: outlier: "):
+            list(read_table(path, TURNOUT_SCHEMA, "turnout"))
+
+    def test_csv_error_names_its_line(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "language_edition,views_prev,views_curr,turnout_prev,turnout_curr,outlier\n"
+            "lang01,100,120,50.0,51.0,0\n"
+            "\n"
+            f"{'x' * (csv.field_size_limit() + 1)},100,120,50.0,51.0,0\n"
+        )
+        with pytest.raises(RowError, match="^line 4: malformed turnout row: field larger than"):
             list(read_table(path, TURNOUT_SCHEMA, "turnout"))
 
     def test_undecodable_byte_names_its_line_past_the_first_chunk(self, tmp_path):
