@@ -273,27 +273,17 @@ def cmd_turnout(args, parser) -> int:
     return EXIT_OK
 
 
-class _Memo(dict):
-    """fn(key), computed on the first lookup of each key and kept."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
     """The `series_id,date,views,log_views` plot CSV, the text csv.writer would give.
 
     Only the series id can need CSV quoting, so render_csv encodes it once per
-    series; the `date,` text of each day and the `views,log_views` line end of
-    each count are formatted once and reused.
+    series; the `date,` text of each distinct day and the `views,log_views`
+    line end of each distinct count are formatted once and looked up.
     """
-    day_cells = _Memo(lambda day: f"{day.isoformat()},")
-    count_cells = _Memo(lambda views: f"{views},{repr(math.log(views)) if views > 0 else ''}\n")
+    day_cells = {day: f"{day.isoformat()},"
+                 for day in set().union(*(series.days for series in series_list))}
+    count_cells = {views: f"{views},{repr(math.log(views)) if views > 0 else ''}\n"
+                   for views in set().union(*(series.counts for series in series_list))}
     chunks = [ingest.render_csv(["series_id", "date", "views", "log_views"], [])]
     for series in series_list:
         prefix = ingest.render_csv([f"{series.wiki_project}:{series.page_title}"], [])[:-1] + ","

@@ -283,11 +283,11 @@ SCENARIO_SCHEMA = (
 
 @contextmanager
 def _table(path, schema, what: str):
-    """Open the CSV at path and yield (reader, cells, width) past its header.
+    """Open the CSV at path and yield (reader, indices) past its header.
 
     Columns are found by header name, so their order is free and extra
-    columns are ignored: cells(row) gives a row's text cells in schema order,
-    and a row needs width fields for it. A missing column raises SchemaError.
+    columns are ignored: indices holds the row index of each schema column,
+    in schema order. A missing column raises SchemaError.
     Inside the block, a csv.Error (say, a field over the csv module's size
     limit) becomes RowError with the reader's line, and a file that is not
     UTF-8 RowError with the line of its first undecodable byte.
@@ -299,9 +299,7 @@ def _table(path, schema, what: str):
             missing = [name for name, _ in schema if name not in header]
             if missing:
                 raise SchemaError(f"{path}, line 1: missing columns {', '.join(missing)}")
-            indices = [header.index(name) for name, _ in schema]
-            # a tuple, as every schema has 2+ columns; IndexError on a short row
-            yield reader, operator.itemgetter(*indices), max(indices) + 1
+            yield reader, [header.index(name) for name, _ in schema]
         except csv.Error as exc:
             raise RowError(reader.line_num, f"malformed {what} row: {exc}") from None
         except UnicodeDecodeError:
@@ -325,14 +323,17 @@ def _table_cells(path, schema, what: str):
 
     The checks of _table, plus a short row raising RowError with its line.
     """
-    with _table(path, schema, what) as (reader, cells, width):
+    with _table(path, schema, what) as (reader, indices):
+        # a tuple, as every schema has 2+ columns; IndexError on a blank or short row
+        cells = operator.itemgetter(*indices)
         for row in reader:
-            if not row:
-                continue
-            line = reader.line_num
-            if len(row) < width:
-                raise _short_row(line, what)
-            yield line, cells(row)
+            try:
+                values = cells(row)
+            except IndexError:
+                if not row:
+                    continue
+                raise _short_row(reader.line_num, what) from None
+            yield reader.line_num, values
 
 
 def _convert_cells(line: int, cells, schema, what: str) -> list:
@@ -383,18 +384,17 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
     dates: dict[str, date] = {}
     project = title = None
     days = counts = latest = seen = None
-    with _table(path, PAGEVIEWS_SCHEMA, "page-view") as (reader, cells, width):
-        # with the header's columns in schema order, a four-field row unpacks as it is
-        in_order = cells(range(width)) == (0, 1, 2, 3)
+    with _table(path, PAGEVIEWS_SCHEMA, "page-view") as (reader, indices):
+        # indexed in place: per row, cheaper than the itemgetter of _table_cells
+        i_project, i_title, i_day, i_views = indices
         for row in reader:
             try:
-                row_project, row_title, day_text, views_text = row if in_order else cells(row)
-            except (ValueError, IndexError):  # a row of other than four fields
+                row_project, row_title, day_text, views_text = (
+                    row[i_project], row[i_title], row[i_day], row[i_views])
+            except IndexError:  # a blank row, or one shorter than the header
                 if not row:
                     continue
-                if len(row) < width:
-                    raise _short_row(reader.line_num, "page-view") from None
-                row_project, row_title, day_text, views_text = cells(row)
+                raise _short_row(reader.line_num, "page-view") from None
             try:
                 day = dates.get(day_text)
                 if day is None:
@@ -402,7 +402,8 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
                 views = int(views_text)
             except ValueError:
                 # the schema's converters raise the RowError read_table would, naming the column
-                _convert_cells(reader.line_num, cells(row), PAGEVIEWS_SCHEMA, "page-view")
+                _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
+                               PAGEVIEWS_SCHEMA, "page-view")
                 raise
             if row_title != title or row_project != project:
                 if not row_project or not row_title:
