@@ -394,9 +394,9 @@ def _positive_int(text: str) -> int:
 
 def _date_arg(text: str) -> date:
     try:
-        return date.fromisoformat(text)
+        return ingest.iso_date(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not an ISO date: {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -412,7 +412,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--pages", help="CSV of wiki_project,page_title pairs")
     p_ingest.add_argument("--start", type=_date_arg, required=True)
     p_ingest.add_argument("--end", type=_date_arg, required=True)
-    p_ingest.add_argument("--max-in-flight", type=int, default=4)
+    p_ingest.add_argument("--max-in-flight", type=int, default=4,
+                          help=f"pages fetched at once, 1 to {ingest.MAX_IN_FLIGHT} (default 4)")
     p_ingest.add_argument("--retry-limit", type=int, default=3)
     p_ingest.add_argument("--backoff-base", type=float, default=0.5)
     p_ingest.add_argument("--out", help="output CSV path (default stdout)")

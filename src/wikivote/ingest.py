@@ -17,19 +17,17 @@ import io
 import math
 import operator
 import os
+import re
 import time
 import warnings
 from array import array
 from bisect import bisect_left, bisect_right
 from collections.abc import Mapping
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import date
 from typing import NamedTuple
 from urllib.parse import quote
-
-import requests
 
 from .errors import (
     CurationWarning,
@@ -45,6 +43,8 @@ from .model import PartyObservation, TurnoutRecord
 
 DEFAULT_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews/per-article"
 BASE_URL_ENV_VAR = "WIKIVOTE_PAGEVIEWS_BASE_URL"
+# the most page fetches FetchPolicy lets run at once, each on its own thread
+MAX_IN_FLIGHT = 16
 
 
 class DailyView(Mapping):
@@ -133,8 +133,9 @@ class FetchPolicy:
     user_agent: str = "wikivote/0.1 (page-view research client)"
 
     def __post_init__(self):
-        if self.max_in_flight < 1:
-            raise ValueError("max_in_flight must be >= 1")
+        if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
+            raise ValueError(
+                f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}, got {self.max_in_flight}")
         if self.retry_limit < 0:
             raise ValueError("retry_limit must be >= 0")
         if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
@@ -162,6 +163,8 @@ def fetch_pageviews(
     with exponential backoff up to policy.retry_limit. Only the `timestamp`
     and `views` fields of the response items are consumed.
     """
+    import requests  # here, not at module level: no other command loads the HTTP stack
+
     if start > end:
         raise ValueError(f"start {start} is after end {end}")
     if not title:
@@ -223,6 +226,8 @@ def fetch_many(
 
     Returns (series in input order, per-page failures).
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     policy = policy or FetchPolicy()
 
     def one(page):
@@ -239,6 +244,17 @@ def fetch_many(
             except Exception as exc:  # itemized; callers decide what is fatal
                 failures.append((page, exc))
     return results, failures
+
+
+_ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+
+
+def iso_date(text: str) -> date:
+    """A `YYYY-MM-DD` date of ASCII digits; date.fromisoformat alone accepts
+    other forms, such as `20140501`, on some Python versions and not on others."""
+    if not _ISO_DATE.fullmatch(text):
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return date.fromisoformat(text)
 
 
 def _flag(text: str) -> bool:
@@ -261,11 +277,11 @@ def _optional_float(text: str) -> float | None:
 # Each schema lists (column, converter) pairs in the order its loader consumes
 # the values; render_pageviews_csv takes its header from PAGEVIEWS_SCHEMA.
 PAGEVIEWS_SCHEMA = (
-    ("wiki_project", str), ("page_title", str), ("date", date.fromisoformat), ("views", int),
+    ("wiki_project", str), ("page_title", str), ("date", iso_date), ("views", int),
 )
 PAGES_SCHEMA = PAGEVIEWS_SCHEMA[:2]
 PARTY_SCHEMA = (
-    ("country", str), ("election_date", date.fromisoformat), ("party_id", str),
+    ("country", str), ("election_date", iso_date), ("party_id", str),
     ("name_english", str), ("name_local", str), ("abbreviation", str),
     ("is_new", _flag), ("is_incumbent", _flag), ("vote_share", _finite_float),
     ("prev_vote_share", _optional_float), ("news_mentions", int),
@@ -398,7 +414,7 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
             try:
                 day = dates.get(day_text)
                 if day is None:
-                    day = dates[day_text] = date.fromisoformat(day_text)
+                    day = dates[day_text] = iso_date(day_text)
                 views = int(views_text)
             except ValueError:
                 # the schema's converters raise the RowError read_table would, naming the column

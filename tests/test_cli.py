@@ -5,12 +5,14 @@ import io
 import json
 import math
 import re
+from datetime import date
 
 import pytest
 import responses
 
-from conftest import DATA_DIR
+from conftest import DATA_DIR, pageview_payload
 from wikivote.cli import main
+from wikivote.ingest import MAX_IN_FLIGHT, PageViewSeries, render_pageviews_csv
 
 PARTIES = str(DATA_DIR / "demo_parties.csv")
 PAGEVIEWS = str(DATA_DIR / "demo_pageviews.csv")
@@ -378,6 +380,38 @@ class TestIngestCommand:
         assert "backoff_base must be a finite number >= 0" in capsys.readouterr().err
         assert len(responses.calls) == 0
 
+    @pytest.mark.parametrize("value", ["0", str(MAX_IN_FLIGHT + 1)])
+    @responses.activate
+    def test_max_in_flight_out_of_range_is_usage_error_before_any_request(self, capsys, value):
+        code = main([
+            "ingest", "--project", "aa.wikipedia", "--title", "Unity Party",
+            "--start", "2014-05-18", "--end", "2014-05-24", "--max-in-flight", value,
+        ])
+        assert code == 2
+        assert f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}, got {value}" in (
+            capsys.readouterr().err)
+        assert len(responses.calls) == 0
+
+    @responses.activate
+    def test_writes_fetched_pages_and_names_the_missing_one(self, tmp_path, capsys, monkeypatch):
+        # no injected session: the real requests.Session, answered by responses in-process
+        base = "http://127.0.0.1:9/views"
+        monkeypatch.setenv("WIKIVOTE_PAGEVIEWS_BASE_URL", base)
+        week = {date(2014, 5, 18 + i): 100 + i for i in range(7)}
+        path = "all-access/all-agents/{}/daily/2014051800/2014052400"
+        responses.get(f"{base}/aa.wikipedia/{path.format('Unity_Party')}",
+                      json=pageview_payload(week.items()))
+        responses.get(f"{base}/aa.wikipedia/{path.format('Gone')}", status=404)
+        pages = tmp_path / "pages.csv"
+        pages.write_text("wiki_project,page_title\naa.wikipedia,Unity Party\naa.wikipedia,Gone\n")
+        code = main(["ingest", "--pages", str(pages), "--start", "2014-05-18",
+                     "--end", "2014-05-24"])
+        out, err = capsys.readouterr()
+        assert code == 0
+        assert out == render_pageviews_csv([PageViewSeries("aa.wikipedia", "Unity Party", week)])
+        assert err == "ingest: aa.wikipedia/Gone: no page-view record for aa.wikipedia/Gone\n"
+        assert len(responses.calls) == 2
+
     def test_start_after_end_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
             main([
@@ -399,6 +433,43 @@ class TestIngestCommand:
                   "--start", "yesterday", "--end", "2014-05-24"])
         assert excinfo.value.code == 2
         capsys.readouterr()
+
+
+# YYYY-MM-DD in ASCII digits is the only date form; Python 3.11's date.fromisoformat
+# also takes the first three
+NOT_YYYY_MM_DD = ["20140525", "2014-W21-7", "2014W217", "2014-5-25",
+                  "\u0662\u0660\u0661\u0664-05-25"]
+
+
+class TestStrictDates:
+    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+    @pytest.mark.parametrize("kind,column", [("parties", "election_date"),
+                                             ("pageviews", "date")])
+    def test_csv_date_exits_3_naming_line_and_column(self, tmp_path, capsys, kind, column,
+                                                    text):
+        header, good, argv = INPUT_KINDS[kind]
+        path = tmp_path / f"{kind}.csv"
+        bad = re.sub(r"\d{4}-\d{2}-\d{2}", lambda _: text, good)
+        path.write_text(header + good + bad, encoding="utf-8")
+        code = main(argv(str(path)))
+        what = "party" if kind == "parties" else "page-view"
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"wikivote: line 3: malformed {what} row: {column}: "
+            f"not a YYYY-MM-DD date: {text!r}\n")
+
+    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+    @pytest.mark.parametrize("argv", [
+        ["attention", "--pageviews", GENERAL, "--election-date"],
+        ["ingest", "--project", "aa.wikipedia", "--title", "X", "--end", "2014-05-24",
+         "--start"],
+    ], ids=["election-date", "start"])
+    def test_date_option_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, text):
+        monkeypatch.chdir(tmp_path)  # attention defaults to ./wikivote-out
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, text])
+        assert excinfo.value.code == 2
+        assert f"not a YYYY-MM-DD date: {text!r}" in capsys.readouterr().err
 
 
 class TestWindowDays:

@@ -23,6 +23,7 @@ from wikivote.errors import (
 )
 from wikivote.ingest import (
     BASE_URL_ENV_VAR,
+    MAX_IN_FLIGHT,
     TURNOUT_SCHEMA,
     FetchPolicy,
     PageViewSeries,
@@ -221,6 +222,12 @@ class TestFetchMany:
         (page, exc), = failures
         assert page == ("aa.wikipedia", "B")
         assert isinstance(exc, MissingPageError)
+
+    def test_max_in_flight_is_capped(self):
+        assert FetchPolicy(max_in_flight=MAX_IN_FLIGHT).max_in_flight == MAX_IN_FLIGHT
+        for value in (0, MAX_IN_FLIGHT + 1):
+            with pytest.raises(ValueError, match=f"from 1 to {MAX_IN_FLIGHT}, got {value}"):
+                FetchPolicy(max_in_flight=value)
 
 
 class TestPageviewsCsv:
