@@ -384,7 +384,7 @@ def cmd_report(args, parser) -> int:
 
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = ingest.ascii_int(text)
     except ValueError:
         value = 0
     if value < 1:
@@ -412,9 +412,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--pages", help="CSV of wiki_project,page_title pairs")
     p_ingest.add_argument("--start", type=_date_arg, required=True)
     p_ingest.add_argument("--end", type=_date_arg, required=True)
-    p_ingest.add_argument("--max-in-flight", type=int, default=4,
+    p_ingest.add_argument("--max-in-flight", type=ingest.ascii_int, default=4,
                           help=f"pages fetched at once, 1 to {ingest.MAX_IN_FLIGHT} (default 4)")
-    p_ingest.add_argument("--retry-limit", type=int, default=3)
+    p_ingest.add_argument("--retry-limit", type=ingest.ascii_int, default=3)
     p_ingest.add_argument("--backoff-base", type=float, default=0.5)
     p_ingest.add_argument("--out", help="output CSV path (default stdout)")
     p_ingest.set_defaults(func=cmd_ingest)

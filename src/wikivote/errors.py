@@ -38,8 +38,8 @@ class ComputationError(DataError):
 class SingularityError(ComputationError):
     """The design matrix is rank deficient; names the collapsing column."""
 
-    def __init__(self, column: str, message: str | None = None):
-        super().__init__(message or f"design matrix is rank deficient in column {column!r}")
+    def __init__(self, column: str):
+        super().__init__(f"design matrix is rank deficient in column {column!r}")
         self.column = column
 
 
@@ -56,4 +56,5 @@ class RateLimitError(NetworkError):
 
 
 class CurationWarning(UserWarning):
-    """Non-fatal dataset curation notice (inclusion-rule violations, ties)."""
+    """Non-fatal curation notice: a party below the inclusion rule, a constant
+    design column, or a prediction outside the outcome range."""

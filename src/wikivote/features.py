@@ -75,21 +75,6 @@ def _shares(counts: Mapping[str, float], what: str) -> dict[str, float]:
     return {party: 100.0 * count / total for party, count in counts.items()}
 
 
-def traffic_shares(
-    group: ElectionGroup, window_sums: Mapping[str, float]
-) -> dict[str, float]:
-    """Each party's share of the group's summed window page views, 0-100."""
-    counts = {}
-    for obs in group.observations:
-        if obs.party_id not in window_sums:
-            raise ComputationError(
-                f"missing window sum for party {obs.party_id} in group "
-                f"{group.country}/{group.election_date}"
-            )
-        counts[obs.party_id] = float(window_sums[obs.party_id])
-    return _shares(counts, "traffic")
-
-
 def news_shares(group: ElectionGroup) -> dict[str, float]:
     """Each party's share of the group's news mentions, 0-100."""
     counts = {obs.party_id: float(obs.news_mentions) for obs in group.observations}
@@ -98,9 +83,13 @@ def news_shares(group: ElectionGroup) -> dict[str, float]:
 
 def build_feature_rows(
     dataset: Dataset,
-    window_sums: Mapping[tuple[str, date, str], float],
+    window_sums: Mapping[tuple[str, date, str], WindowViews | float],
 ) -> list[FeatureRow]:
-    """One FeatureRow per observation; window_sums is keyed by observation key."""
+    """One FeatureRow per observation.
+
+    window_sums is keyed by observation key; each value is a WindowViews or a
+    plain number of views.
+    """
     rows: list[FeatureRow] = []
     for group in dataset.groups:
         per_party = {}

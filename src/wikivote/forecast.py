@@ -103,12 +103,6 @@ class ModelReport:
 
 
 @dataclass(frozen=True)
-class ModelComparison:
-    delta_r2: float
-    delta_adj_r2: float
-
-
-@dataclass(frozen=True)
 class TurnoutRatio:
     language_edition: str
     views_change: float
@@ -195,19 +189,6 @@ def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two") ->
     except ComputationError as exc:
         raise ComputationError(f"model {spec.id}: {exc}") from exc
     return ModelReport(spec=spec, fit=fit)
-
-
-def compare_models(base: ModelReport, full: ModelReport) -> ModelComparison:
-    """R² and adjusted-R² gains of the full model over the base model."""
-    if (base.spec.dependent, base.spec.subset) != (full.spec.dependent, full.spec.subset):
-        raise ValueError(
-            f"cannot compare {base.spec.id} against {full.spec.id}: "
-            "different dependent variable or subset"
-        )
-    return ModelComparison(
-        delta_r2=full.fit.r2 - base.fit.r2,
-        delta_adj_r2=full.fit.adj_r2 - base.fit.adj_r2,
-    )
 
 
 def predict(report: ModelReport, new_rows) -> list[float]:

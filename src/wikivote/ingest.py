@@ -5,9 +5,9 @@ covers recent years, so historical series arrive as CSV dumps. Missing days
 are absent from a series, never zero-filled; window operations decide their
 own missing-data policy. Every CSV input (parties, page views, turnout
 records, scenarios, page lists) is read against a schema through _table,
-the one csv.reader: read_table converts the cells of _table_cells, and the
-page-view loader walks the reader itself and converts its own cells into
-columns, since that file is by far the largest input.
+the one csv.reader: read_table converts the cells of each row through the
+schema, and the page-view loader walks the reader itself and converts its own
+cells into columns, since that file is by far the largest input.
 """
 
 from __future__ import annotations
@@ -19,9 +19,8 @@ import operator
 import os
 import re
 import time
-import warnings
 from array import array
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from collections.abc import Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -30,8 +29,6 @@ from typing import NamedTuple
 from urllib.parse import quote
 
 from .errors import (
-    CurationWarning,
-    ComputationError,
     MissingPageError,
     NetworkError,
     RateLimitError,
@@ -118,11 +115,6 @@ class PageViewSeries:
     @property
     def key(self) -> tuple[str, str]:
         return (self.wiki_project, self.page_title)
-
-    def views_between(self, start: date, end: date) -> int:
-        """Views summed over the days in [start, end]."""
-        lo = bisect_left(self.days, start)
-        return sum(self.counts[lo:bisect_right(self.days, end, lo)])
 
 
 @dataclass(frozen=True)
@@ -247,6 +239,7 @@ def fetch_many(
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_ASCII_INT = re.compile(r"-?[0-9]+")
 
 
 def iso_date(text: str) -> date:
@@ -255,6 +248,15 @@ def iso_date(text: str) -> date:
     if not _ISO_DATE.fullmatch(text):
         raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
     return date.fromisoformat(text)
+
+
+def ascii_int(text: str) -> int:
+    """An integer of ASCII digits, with an optional leading `-` for the callers
+    that reject a negative value with their own message; int alone also takes
+    `1_010`, ` 7 `, `+5` and non-ASCII digits such as `١٠`."""
+    if not _ASCII_INT.fullmatch(text):
+        raise ValueError(f"not an integer of ASCII digits: {text!r}")
+    return int(text)
 
 
 def _flag(text: str) -> bool:
@@ -277,18 +279,18 @@ def _optional_float(text: str) -> float | None:
 # Each schema lists (column, converter) pairs in the order its loader consumes
 # the values; render_pageviews_csv takes its header from PAGEVIEWS_SCHEMA.
 PAGEVIEWS_SCHEMA = (
-    ("wiki_project", str), ("page_title", str), ("date", iso_date), ("views", int),
+    ("wiki_project", str), ("page_title", str), ("date", iso_date), ("views", ascii_int),
 )
 PAGES_SCHEMA = PAGEVIEWS_SCHEMA[:2]
 PARTY_SCHEMA = (
     ("country", str), ("election_date", iso_date), ("party_id", str),
     ("name_english", str), ("name_local", str), ("abbreviation", str),
     ("is_new", _flag), ("is_incumbent", _flag), ("vote_share", _finite_float),
-    ("prev_vote_share", _optional_float), ("news_mentions", int),
+    ("prev_vote_share", _optional_float), ("news_mentions", ascii_int),
     ("wiki_project", str), ("wiki_page_title", str),
 )
 TURNOUT_SCHEMA = (
-    ("language_edition", str), ("views_prev", int), ("views_curr", int),
+    ("language_edition", str), ("views_prev", ascii_int), ("views_curr", ascii_int),
     ("turnout_prev", _finite_float), ("turnout_curr", _finite_float), ("outlier", _flag),
 )
 SCENARIO_SCHEMA = (
@@ -334,24 +336,6 @@ def _short_row(line: int, what: str) -> RowError:
     return RowError(line, f"malformed {what} row: fewer fields than the header")
 
 
-def _table_cells(path, schema, what: str):
-    """Yield (line, text cells in schema order) for every non-blank data row.
-
-    The checks of _table, plus a short row raising RowError with its line.
-    """
-    with _table(path, schema, what) as (reader, indices):
-        # a tuple, as every schema has 2+ columns; IndexError on a blank or short row
-        cells = operator.itemgetter(*indices)
-        for row in reader:
-            try:
-                values = cells(row)
-            except IndexError:
-                if not row:
-                    continue
-                raise _short_row(reader.line_num, what) from None
-            yield reader.line_num, values
-
-
 def _convert_cells(line: int, cells, schema, what: str) -> list:
     """Each cell passed through its column's converter, as read_table does."""
     values = []
@@ -366,12 +350,22 @@ def _convert_cells(line: int, cells, schema, what: str) -> list:
 def read_table(path, schema, what: str):
     """Yield (line, values) for every non-blank data row of the CSV at path.
 
-    The rows of _table_cells, with its checks; values come in schema order,
-    each cell passed through its column's converter, and a cell its converter
-    rejects raises RowError with its line and column.
+    The checks of _table, plus a short row raising RowError with its line.
+    Values come in schema order, each cell passed through its column's
+    converter, and a cell its converter rejects raises RowError with its line
+    and column.
     """
-    for line, cells in _table_cells(path, schema, what):
-        yield line, _convert_cells(line, cells, schema, what)
+    with _table(path, schema, what) as (reader, indices):
+        # a tuple, as every schema has 2+ columns; IndexError on a blank or short row
+        cells = operator.itemgetter(*indices)
+        for row in reader:
+            try:
+                values = cells(row)
+            except IndexError:
+                if not row:
+                    continue
+                raise _short_row(reader.line_num, what) from None
+            yield reader.line_num, _convert_cells(reader.line_num, values, schema, what)
 
 
 def render_csv(header, rows) -> str:
@@ -401,7 +395,7 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
     project = title = None
     days = counts = latest = seen = None
     with _table(path, PAGEVIEWS_SCHEMA, "page-view") as (reader, indices):
-        # indexed in place: per row, cheaper than the itemgetter of _table_cells
+        # indexed in place: per row, cheaper than the itemgetter of read_table
         i_project, i_title, i_day, i_views = indices
         for row in reader:
             try:
@@ -415,7 +409,9 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
                 day = dates.get(day_text)
                 if day is None:
                     day = dates[day_text] = iso_date(day_text)
-                views = int(views_text)
+                # the ASCII-digit test of ascii_int, without a call or a regex per row
+                views = (int(views_text) if views_text.isdigit() and views_text.isascii()
+                         else ascii_int(views_text))
             except ValueError:
                 # the schema's converters raise the RowError read_table would, naming the column
                 _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
@@ -472,12 +468,6 @@ def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:
     )
 
 
-def save_pageviews_csv(series_list: list[PageViewSeries], path) -> None:
-    """Inverse of load_pageviews_csv; loading the output reproduces the input."""
-    with open(path, "w", newline="", encoding="utf-8") as handle:
-        handle.write(render_pageviews_csv(series_list))
-
-
 def load_party_csv(path) -> list[PartyObservation]:
     """Load the party dataset CSV into typed observations (strict parsing).
 
@@ -521,31 +511,3 @@ class ScenarioRow(NamedTuple):
 def load_scenario_csv(path) -> list[ScenarioRow]:
     """Load the scenario rows `predict` applies a fitted model to."""
     return [ScenarioRow(*values) for _, values in read_table(path, SCENARIO_SCHEMA, "scenario")]
-
-
-def resolve_page_variant(
-    candidates: list[PageViewSeries], window_start: date, window_end: date
-) -> str:
-    """Pick the candidate article with the most views inside the window.
-
-    Exact ties keep the first candidate in input order, with a warning.
-    """
-    if not candidates:
-        raise ValueError("need at least one candidate series")
-    if window_start > window_end:
-        raise ValueError("window_start is after window_end")
-    sums = [c.views_between(window_start, window_end) for c in candidates]
-    best = max(sums)
-    if best == 0:
-        raise ComputationError(
-            "no signal: every candidate has zero views in the window"
-        )
-    winner = sums.index(best)
-    if sums.count(best) > 1:
-        warnings.warn(
-            f"view-count tie at {best}; keeping first candidate "
-            f"{candidates[winner].page_title!r}",
-            CurationWarning,
-            stacklevel=2,
-        )
-    return candidates[winner].page_title

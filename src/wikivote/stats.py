@@ -59,10 +59,6 @@ class DesignMatrix:
     def n(self) -> int:
         return self.values.shape[0]
 
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
-
 
 @dataclass(frozen=True)
 class TermEstimate:
@@ -177,20 +173,16 @@ def qr_solve(x, y: np.ndarray) -> np.ndarray:
     return qr_least_squares(values, y, names)[2]
 
 
-def ols_fit(x, y: np.ndarray, *, sides: str = "two") -> FitResult:
-    """Ordinary least squares with the full diagnostic set.
+def ols_fit(x: DesignMatrix, y: np.ndarray, *, sides: str = "two") -> FitResult:
+    """Ordinary least squares of y on a DesignMatrix, with the full diagnostic set.
 
-    Accepts a DesignMatrix or a plain 2-D array. Standard errors come from
-    the R-factor inverse (never explicit normal equations); r2 is computed
-    against the centered response. sides="one" halves every p-value.
+    Standard errors come from the R-factor inverse (never explicit normal
+    equations); r2 is computed against the centered response. sides="one"
+    halves every p-value.
     """
     if sides not in ("two", "one"):
         raise ValueError(f"sides must be 'two' or 'one', got {sides!r}")
-    if isinstance(x, DesignMatrix):
-        values, names = x.values, x.column_names
-    else:
-        values = np.asarray(x, dtype=float)
-        names = tuple(f"x{j}" for j in range(values.shape[1]))
+    values, names = x.values, x.column_names
     y = np.asarray(y, dtype=float)
     n, k = values.shape
     if y.shape != (n,):

@@ -1,5 +1,6 @@
 """Command-line behavior: formats, exit codes, determinism, partial-file rules."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,6 +10,8 @@ from datetime import date
 
 import pytest
 import responses
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import DATA_DIR, pageview_payload
 from wikivote.cli import main
@@ -583,7 +586,7 @@ PAGEVIEW_ROW_ERRORS = {
     "first_seen_bad_date": ("aa.wikipedia,B,2014-02-30,5",
                             "malformed page-view row: date: day is out of range for month"),
     "bad_views": ("aa.wikipedia,B,2014-05-19,5x",
-                  "malformed page-view row: views: invalid literal for int() with base 10: '5x'"),
+                  "malformed page-view row: views: not an integer of ASCII digits: '5x'"),
     "negative_count": ("aa.wikipedia,B,2014-05-19,-4", "negative view count -4"),
     "duplicate_day": ("aa.wikipedia,A,2014-05-18,9",
                       "duplicate day 2014-05-18 for aa.wikipedia/A"),
@@ -636,3 +639,105 @@ class TestPageViewRowErrors:
                      "--output-dir", str(tmp_path / "out")])
         assert code == 3
         assert capsys.readouterr().err == f"wikivote: line 5: {message}\n"
+
+
+# the zero of each digit block a lexically invalid integer borrows digits from:
+# Arabic-Indic, Extended Arabic-Indic, Devanagari and fullwidth; int() takes them all
+OTHER_ZEROS = ("\u0660", "\u06f0", "\u0966", "\uff10")
+
+
+@st.composite
+def not_ascii_integers(draw):
+    """Integer text that int() accepts but is not ASCII digits: an underscore
+    between digits, surrounding whitespace, a non-ASCII digit or a + sign."""
+    digits = str(draw(st.integers(min_value=0, max_value=10**9)))
+    form = draw(st.sampled_from(["underscore", "space", "non_ascii", "plus"]))
+    if form == "underscore":
+        digits = digits if len(digits) > 1 else digits + "0"
+        i = draw(st.integers(min_value=1, max_value=len(digits) - 1))
+        return f"{digits[:i]}_{digits[i:]}"
+    if form == "space":
+        before, after = draw(st.sampled_from(
+            [(" ", ""), ("", " "), (" ", " "), ("\t", ""), ("", "\u00a0")]))
+        return f"{before}{digits}{after}"
+    if form == "non_ascii":
+        i = draw(st.integers(min_value=0, max_value=len(digits) - 1))
+        zero = ord(draw(st.sampled_from(OTHER_ZEROS)))
+        return f"{digits[:i]}{chr(zero + int(digits[i]))}{digits[i + 1:]}"
+    return f"+{digits}"
+
+
+def run(argv) -> tuple[int, str]:
+    """main's exit code, argparse's included, and what it wrote to stderr."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+def with_acceptance_forms(test):
+    """The test, with the four forms the acceptance criteria name as explicit examples."""
+    for text in ("1_010", " 7 ", "\u0661\u0660", "+5"):
+        test = example(text=text)(test)
+    return test
+
+
+class TestStrictIntegers:
+    """Integer cells and options take ASCII digits only (and a `-` where a
+    negative value has its own message); int() alone takes more."""
+
+    @pytest.mark.parametrize("kind,column", [
+        ("pageviews", "views"), ("parties", "news_mentions"),
+        ("turnout", "views_prev"), ("turnout", "views_curr"),
+    ])
+    @given(text=not_ascii_integers())
+    @with_acceptance_forms
+    @settings(max_examples=30, deadline=None)
+    def test_csv_cell_exits_3_naming_line_and_column(self, tmp_path_factory, kind, column,
+                                                    text):
+        header, good, argv = INPUT_KINDS[kind]
+        assert int(text) >= 0  # int() takes it: only the strict lexer tells it apart
+        bad = next(csv.reader([good]))
+        bad[next(csv.reader([header])).index(column)] = text
+        buffer = io.StringIO()
+        csv.writer(buffer, lineterminator="\n").writerow(bad)
+        path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
+        path.write_text(header + good + buffer.getvalue(), encoding="utf-8")
+        what = {"pageviews": "page-view", "parties": "party", "turnout": "turnout"}[kind]
+        assert run(argv(str(path))) == (3, (
+            f"wikivote: line 3: malformed {what} row: {column}: "
+            f"not an integer of ASCII digits: {text!r}\n"))
+
+    @pytest.mark.parametrize("argv,message", [
+        (["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
+          "--end", "2014-05-24", "--max-in-flight"], "invalid ascii_int value"),
+        (["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
+          "--end", "2014-05-24", "--retry-limit"], "invalid ascii_int value"),
+        (["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"],
+         "not a positive integer"),
+    ], ids=["max-in-flight", "retry-limit", "window-days"])
+    @given(text=not_ascii_integers())
+    @with_acceptance_forms
+    @settings(max_examples=30, deadline=None)
+    def test_option_is_usage_error(self, argv, message, text):
+        code, err = run([*argv, text])
+        assert code == 2
+        assert f"{argv[-1]}: {message}: {text!r}" in err
+
+    @pytest.mark.parametrize("kind,row,fragment", [
+        ("pageviews", "aa.wikipedia,X,2014-05-19,-4\n", "negative view count -4"),
+        ("parties", "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,15.0,-1,aa.wikipedia,B\n",
+         "p2: negative news_mentions"),
+        ("turnout", "lang02,-100,120,50.0,51.0,0\n", "views_prev must be positive"),
+        ("turnout", "lang02,100,-5,50.0,51.0,0\n", "views_curr must be non-negative"),
+    ])
+    def test_negative_cell_keeps_its_own_message(self, tmp_path, kind, row, fragment):
+        header, good, argv = INPUT_KINDS[kind]
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(header + good + row)
+        code, err = run(argv(str(path)))
+        assert code == 3
+        assert err.startswith("wikivote: line 3: ") and fragment in err

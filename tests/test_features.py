@@ -14,7 +14,6 @@ from wikivote.features import (
     news_shares,
     relative_change,
     subset_small,
-    traffic_shares,
     window_sums_from_series,
     window_views,
 )
@@ -55,16 +54,25 @@ class TestWindowViews:
 
 
 class TestShares:
-    def group(self, mentions=(600, 300, 100)):
+    def dataset(self, mentions=(600, 300, 100)):
         rows = [
             obs("p1", share=40.0, mentions=mentions[0]),
             obs("p2", share=30.0, mentions=mentions[1]),
             obs("p3", share=10.0, mentions=mentions[2]),
         ]
-        return validate_dataset(rows).groups[0]
+        return validate_dataset(rows)
+
+    def group(self, mentions=(600, 300, 100)):
+        return self.dataset(mentions).groups[0]
+
+    def traffic_shares(self, views):
+        """wiki_share by party from build_feature_rows, given plain-number window sums."""
+        dataset = self.dataset()
+        sums = {o.key: views[o.party_id] for o in dataset.observations if o.party_id in views}
+        return {row.party_id: row.wiki_share for row in build_feature_rows(dataset, sums)}
 
     def test_traffic_shares_normalize_to_100(self):
-        shares = traffic_shares(self.group(), {"p1": 500.0, "p2": 250.0, "p3": 250.0})
+        shares = self.traffic_shares({"p1": 500.0, "p2": 250.0, "p3": 250.0})
         assert shares == {"p1": 50.0, "p2": 25.0, "p3": 25.0}
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
@@ -74,12 +82,12 @@ class TestShares:
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_missing_party_is_named(self):
-        with pytest.raises(ComputationError, match="p3"):
-            traffic_shares(self.group(), {"p1": 500.0, "p2": 250.0})
+        with pytest.raises(ComputationError, match="Arcadia/2014-05-25/p3"):
+            self.traffic_shares({"p1": 500.0, "p2": 250.0})
 
     def test_zero_total_is_an_error(self):
-        with pytest.raises(ComputationError, match="zero total"):
-            traffic_shares(self.group(), {"p1": 0.0, "p2": 0.0, "p3": 0.0})
+        with pytest.raises(ComputationError, match="^group Arcadia/2014-05-25: zero total"):
+            self.traffic_shares({"p1": 0.0, "p2": 0.0, "p3": 0.0})
         with pytest.raises(ComputationError, match="zero total"):
             news_shares(self.group(mentions=(0, 0, 0)))
 
@@ -89,11 +97,8 @@ class TestShares:
     )
     @settings(max_examples=60, deadline=None)
     def test_shares_are_scale_invariant(self, counts, scale):
-        group = self.group()
-        base = traffic_shares(group, dict(zip(("p1", "p2", "p3"), counts)))
-        scaled = traffic_shares(
-            group, {k: v * scale for k, v in zip(("p1", "p2", "p3"), counts)}
-        )
+        base = self.traffic_shares(dict(zip(("p1", "p2", "p3"), counts)))
+        scaled = self.traffic_shares({k: v * scale for k, v in zip(("p1", "p2", "p3"), counts)})
         for party in base:
             assert scaled[party] == pytest.approx(base[party], rel=1e-12)
         assert sum(base.values()) == pytest.approx(100.0, abs=1e-9)

@@ -13,8 +13,6 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, FakeResponse, FakeSession, pageview_payload
 from wikivote.errors import (
-    ComputationError,
-    CurationWarning,
     MissingPageError,
     NetworkError,
     RateLimitError,
@@ -32,8 +30,7 @@ from wikivote.ingest import (
     load_pageviews_csv,
     load_party_csv,
     read_table,
-    resolve_page_variant,
-    save_pageviews_csv,
+    render_pageviews_csv,
 )
 
 WEEK = [(date(2014, 5, 18 + i), 100 + i) for i in range(7)]
@@ -90,13 +87,6 @@ class TestPageViewSeries:
         assert len(series.daily.items()) == 7 and list(series.daily.values())[0] == 100
         assert series == PageViewSeries("aa.wikipedia", "X", dict(WEEK))
         assert series != PageViewSeries("aa.wikipedia", "X", dict(WEEK[1:]))
-
-    def test_views_between_is_inclusive(self):
-        series = PageViewSeries("aa.wikipedia", "X", dict(WEEK))
-        assert series.views_between(date(2014, 5, 18), date(2014, 5, 24)) == sum(
-            v for _, v in WEEK
-        )
-        assert series.views_between(date(2014, 5, 19), date(2014, 5, 19)) == 101
 
 
 class TestFetchPageviews:
@@ -233,7 +223,7 @@ class TestFetchMany:
 class TestPageviewsCsv:
     def test_round_trip(self, tmp_path, demo_series):
         out = tmp_path / "views.csv"
-        save_pageviews_csv(demo_series, out)
+        out.write_text(render_pageviews_csv(demo_series), encoding="utf-8")
         again = load_pageviews_csv(out)
         assert again == demo_series
 
@@ -380,39 +370,6 @@ class TestPageviewsCsv:
         assert len({id(day) for s in loaded for day in s.daily}) == len(
             {day for _, day, _ in rows}
         )
-
-
-class TestResolvePageVariant:
-    def series(self, title, views):
-        daily = {date(2014, 5, 18 + i): v for i, v in enumerate(views)}
-        return PageViewSeries("aa.wikipedia", title, daily)
-
-    def test_picks_highest_window_total(self):
-        candidates = [
-            self.series("Variant A", [10, 10, 10]),
-            self.series("Variant B", [50, 50, 50]),
-        ]
-        chosen = resolve_page_variant(candidates, date(2014, 5, 18), date(2014, 5, 20))
-        assert chosen == "Variant B"
-
-    def test_tie_keeps_first_and_warns(self):
-        candidates = [
-            self.series("First", [30, 0, 0]),
-            self.series("Second", [10, 10, 10]),
-        ]
-        with pytest.warns(CurationWarning, match="tie"):
-            chosen = resolve_page_variant(candidates, date(2014, 5, 18), date(2014, 5, 20))
-        assert chosen == "First"
-
-    def test_all_zero_is_no_signal(self):
-        with pytest.raises(ComputationError, match="no signal"):
-            resolve_page_variant(
-                [self.series("A", [0, 0])], date(2014, 5, 18), date(2014, 5, 19)
-            )
-
-    def test_empty_candidates_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_page_variant([], date(2014, 5, 18), date(2014, 5, 19))
 
 
 class TestPartyCsv:
