@@ -5,7 +5,7 @@ Exit codes: 0 success, 2 usage, 3 data problem, 4 network problem.
 
 Data files are written atomically (temp + rename) and contain no timestamps,
 so identical inputs and config produce byte-identical outputs; run metadata
-lives in a separate manifest.json next to the reports.
+lives in a separate manifest next to the reports (see _run).
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ import os
 import sys
 import tempfile
 import warnings
+from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date
 from pathlib import Path
@@ -45,16 +46,31 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _write_manifest(output_dir: Path, command: str, config: dict, *, status: str,
-                    outputs: list[str], errors: list[str]) -> None:
-    manifest = {
-        "command": command,
-        "config": config,
-        "status": status,
-        "outputs": outputs,
-        "errors": errors,
-    }
-    _atomic_write(output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+@contextmanager
+def _run(output_dir: Path, command: str, config: dict):
+    """Yield (files, errors) to a command that writes into output_dir.
+
+    The block fills files with {name: text} and adds to errors each failure it
+    got past. When it ends, the files are written in order, then the manifest.
+    If the block or a write raises, only the manifest is written: status
+    "error", no outputs, and the errors collected or else the exception's
+    message. So a failed run never leaves an earlier run's manifest behind.
+    """
+    files: dict[str, str] = {}
+    errors: list[str] = []
+    status = "error"
+    try:
+        yield files, errors
+        for name, text in files.items():
+            _atomic_write(output_dir / name, text)
+        status = "ok"
+    except Exception as exc:
+        errors = errors or [str(exc)]
+        raise
+    finally:
+        manifest = {"command": command, "config": config, "status": status,
+                    "outputs": list(files) if status == "ok" else [], "errors": errors}
+        _atomic_write(output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -167,7 +183,6 @@ def cmd_features(args, parser) -> int:
 
 def cmd_fit(args, parser) -> int:
     model_ids = _parse_models(args.models, parser)
-    output_dir = Path(args.output_dir)
     config = {
         "models": model_ids,
         "dataset": str(args.dataset),
@@ -176,34 +191,23 @@ def cmd_fit(args, parser) -> int:
         "sides": args.sides,
         "window_days": args.window_days,
     }
-    try:
+    with _run(Path(args.output_dir), "fit", config) as (files, _):
         rows = _load_features(args)
         reports = [
             forecast.fit_model(rows, forecast.ModelSpec.from_id(mid), sides=args.sides)
             for mid in model_ids
         ]
-    except Exception as exc:
-        _write_manifest(output_dir, "fit", config, status="error",
-                        outputs=[], errors=[str(exc)])
-        raise
-
-    outputs = []
-    for report in reports:
-        name = f"model_{report.spec.id}.json"
-        _atomic_write(output_dir / name, json.dumps(report.to_json_dict(), indent=2) + "\n")
-        outputs.append(name)
+        docs = [report.to_json_dict() for report in reports]
+        for report, doc in zip(reports, docs):
+            files[f"model_{report.spec.id}.json"] = json.dumps(doc, indent=2) + "\n"
+        if args.format == "text":
+            files["fit_table.txt"] = _render_text_table(reports)
+        elif args.format == "csv":
+            files["fit_table.csv"] = _render_csv_table(reports)
+        else:
+            files["fit_table.json"] = json.dumps(docs, indent=2) + "\n"
     if args.format == "text":
-        table, table_name = _render_text_table(reports), "fit_table.txt"
-    elif args.format == "csv":
-        table, table_name = _render_csv_table(reports), "fit_table.csv"
-    else:
-        table = json.dumps([r.to_json_dict() for r in reports], indent=2) + "\n"
-        table_name = "fit_table.json"
-    _atomic_write(output_dir / table_name, table)
-    outputs.append(table_name)
-    _write_manifest(output_dir, "fit", config, status="ok", outputs=outputs, errors=[])
-    if args.format == "text":
-        sys.stdout.write(table)
+        sys.stdout.write(files["fit_table.txt"])
     return EXIT_OK
 
 
@@ -296,89 +300,69 @@ def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
 
 
 def cmd_attention(args, parser) -> int:
-    series_list = ingest.load_pageviews_csv(args.pageviews)
-    output_dir = Path(args.output_dir)
     config = {
         "pageviews": str(args.pageviews),
         "election_date": args.election_date.isoformat(),
         "window_days": args.window_days,
     }
-
-    dynamics: list[dict] = []
-    succeeded = 0
-    for series in series_list:
-        series_id = f"{series.wiki_project}:{series.page_title}"
-        try:
-            dyn = forecast.attention_dynamics(series, args.election_date, args.window_days)
-            dynamics.append({
-                "series_id": series_id,
-                "status": "ok",
-                **vars(dyn),  # its fields in order; asdict would deep-copy each of them
-                "peak_date": dyn.peak_date.isoformat(),
-            })
-            succeeded += 1
-        except DataError as exc:
-            dynamics.append({"series_id": series_id, "status": "error", "error": str(exc)})
-    if not succeeded:
-        _write_manifest(output_dir, "attention", config, status="error",
-                        outputs=[], errors=[d.get("error", "") for d in dynamics])
-        raise DataError("attention analysis failed for every series")
-
-    _atomic_write(output_dir / "attention_dynamics.json", json.dumps(dynamics, indent=2) + "\n")
-    _atomic_write(output_dir / "attention_series.csv", _render_attention_series(series_list))
-    _write_manifest(
-        output_dir, "attention", config, status="ok",
-        outputs=["attention_dynamics.json", "attention_series.csv"],
-        errors=[d["error"] for d in dynamics if d["status"] == "error"],
-    )
-    failed = len(series_list) - succeeded
-    print(f"attention: {succeeded} series analysed, {failed} failed", file=sys.stderr)
+    with _run(Path(args.output_dir), "attention", config) as (files, errors):
+        series_list = ingest.load_pageviews_csv(args.pageviews)
+        dynamics: list[dict] = []
+        for series in series_list:
+            series_id = f"{series.wiki_project}:{series.page_title}"
+            try:
+                dyn = forecast.attention_dynamics(series, args.election_date, args.window_days)
+                dynamics.append({
+                    "series_id": series_id,
+                    "status": "ok",
+                    **vars(dyn),  # its fields in order; asdict would deep-copy each of them
+                    "peak_date": dyn.peak_date.isoformat(),
+                })
+            except DataError as exc:
+                dynamics.append({"series_id": series_id, "status": "error", "error": str(exc)})
+                errors.append(str(exc))
+        if len(errors) == len(series_list):
+            raise DataError("attention analysis failed for every series")
+        files["attention_dynamics.json"] = json.dumps(dynamics, indent=2) + "\n"
+        files["attention_series.csv"] = _render_attention_series(series_list)
+    print(f"attention: {len(series_list) - len(errors)} series analysed, {len(errors)} failed",
+          file=sys.stderr)
     return EXIT_OK
 
 
 def cmd_report(args, parser) -> int:
-    rows = _load_features(args)
-    output_dir = Path(args.output_dir)
     config = {
         "dataset": str(args.dataset),
         "pageviews": str(args.pageviews),
         "window_days": args.window_days,
     }
+    with _run(Path(args.output_dir), "report", config) as (files, _):
+        rows = _load_features(args)
+        files["report_shares.csv"] = ingest.render_csv(
+            ["country", "election_date", "party_id", "wiki_share", "news_share", "vote_share"],
+            ([row.country, row.election_date.isoformat(), row.party_id,
+              repr(row.wiki_share), repr(row.news_share), repr(row.vote_share)]
+             for row in rows),
+        )
 
-    shares = ingest.render_csv(
-        ["country", "election_date", "party_id", "wiki_share", "news_share", "vote_share"],
-        ([row.country, row.election_date.isoformat(), row.party_id,
-          repr(row.wiki_share), repr(row.news_share), repr(row.vote_share)]
-         for row in rows),
-    )
+        small = feats.subset_small(rows)
+        pairs = {
+            "news_vs_vote_share": ([r.news_share for r in rows], [r.vote_share for r in rows]),
+            "news_vs_vote_share_small": (
+                [r.news_share for r in small], [r.vote_share for r in small]),
+            "wiki_vs_vote_share": ([r.wiki_share for r in rows], [r.vote_share for r in rows]),
+            "news_vs_wiki": ([r.news_share for r in rows], [r.wiki_share for r in rows]),
+        }
+        correlations = {name: asdict(stats.pearson(x, y)) for name, (x, y) in pairs.items()}
+        files["report_correlations.json"] = json.dumps(correlations, indent=2) + "\n"
 
-    small = feats.subset_small(rows)
-    pairs = {
-        "news_vs_vote_share": ([r.news_share for r in rows], [r.vote_share for r in rows]),
-        "news_vs_vote_share_small": (
-            [r.news_share for r in small], [r.vote_share for r in small]),
-        "wiki_vs_vote_share": ([r.wiki_share for r in rows], [r.vote_share for r in rows]),
-        "news_vs_wiki": ([r.news_share for r in rows], [r.wiki_share for r in rows]),
-    }
-    correlations = {name: asdict(stats.pearson(x, y)) for name, (x, y) in pairs.items()}
-
-    scatter = ingest.render_csv(
-        ["party_id", "country", "election_date", "news_share", "wiki_share", "cluster"],
-        ([row.party_id, row.country, row.election_date.isoformat(),
-          repr(row.news_share), repr(row.wiki_share),
-          "new" if row.new_party else ("incumbent" if row.incumbent else "other")]
-         for row in rows),
-    )
-
-    _atomic_write(output_dir / "report_shares.csv", shares)
-    _atomic_write(output_dir / "report_correlations.json",
-                  json.dumps(correlations, indent=2) + "\n")
-    _atomic_write(output_dir / "report_scatter.csv", scatter)
-    _write_manifest(
-        output_dir, "report", config, status="ok",
-        outputs=["report_shares.csv", "report_correlations.json", "report_scatter.csv"],
-        errors=[],
-    )
+        files["report_scatter.csv"] = ingest.render_csv(
+            ["party_id", "country", "election_date", "news_share", "wiki_share", "cluster"],
+            ([row.party_id, row.country, row.election_date.isoformat(),
+              repr(row.news_share), repr(row.wiki_share),
+              "new" if row.new_party else ("incumbent" if row.incumbent else "other")]
+             for row in rows),
+        )
     return EXIT_OK
 
 
@@ -415,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--max-in-flight", type=ingest.ascii_int, default=4,
                           help=f"pages fetched at once, 1 to {ingest.MAX_IN_FLIGHT} (default 4)")
     p_ingest.add_argument("--retry-limit", type=ingest.ascii_int, default=3)
-    p_ingest.add_argument("--backoff-base", type=float, default=0.5)
+    p_ingest.add_argument("--backoff-base", type=ingest.ascii_float, default=0.5)
     p_ingest.add_argument("--out", help="output CSV path (default stdout)")
     p_ingest.set_defaults(func=cmd_ingest)
 

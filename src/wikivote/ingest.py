@@ -134,10 +134,6 @@ class FetchPolicy:
             raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
 
 
-def _base_url(override: str | None) -> str:
-    return override or os.environ.get(BASE_URL_ENV_VAR) or DEFAULT_BASE_URL
-
-
 def fetch_pageviews(
     project: str,
     title: str,
@@ -145,7 +141,6 @@ def fetch_pageviews(
     end: date,
     policy: FetchPolicy | None = None,
     *,
-    base_url: str | None = None,
     session=None,
     sleep=time.sleep,
 ) -> PageViewSeries:
@@ -153,7 +148,8 @@ def fetch_pageviews(
 
     404 maps to MissingPageError without retrying; 429 and 5xx are retried
     with exponential backoff up to policy.retry_limit. Only the `timestamp`
-    and `views` fields of the response items are consumed.
+    and `views` fields of the response items are consumed; the base URL is
+    WIKIVOTE_PAGEVIEWS_BASE_URL if set.
     """
     import requests  # here, not at module level: no other command loads the HTTP stack
 
@@ -163,7 +159,7 @@ def fetch_pageviews(
         raise ValueError("title must be non-empty")
     policy = policy or FetchPolicy()
     url = "{base}/{project}/all-access/all-agents/{title}/daily/{s}00/{e}00".format(
-        base=_base_url(base_url).rstrip("/"),
+        base=(os.environ.get(BASE_URL_ENV_VAR) or DEFAULT_BASE_URL).rstrip("/"),
         project=project,
         title=quote(title.replace(" ", "_"), safe=""),
         s=start.strftime("%Y%m%d"),
@@ -203,7 +199,11 @@ def _series_from_items(project, title, payload, start, end) -> PageViewSeries:
         stamp = str(item["timestamp"])
         day = date(int(stamp[0:4]), int(stamp[4:6]), int(stamp[6:8]))
         if start <= day <= end:
-            daily[day] = int(item["views"])
+            views = item["views"]
+            if type(views) is not int:  # a JSON integer: not a bool, a float or a string
+                raise NetworkError(
+                    f"{project}/{title} {day}: views must be a JSON integer, got {views!r}")
+            daily[day] = views
     return PageViewSeries(wiki_project=project, page_title=title, daily=daily)
 
 
@@ -240,6 +240,10 @@ def fetch_many(
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
 _ASCII_INT = re.compile(r"-?[0-9]+")
+# float's own ASCII grammar less `_`, whitespace and `+`; nan and inf pass, for
+# their callers to reject with their own message
+_ASCII_FLOAT = re.compile(r"-?(?:(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:e[-+]?[0-9]+)?|inf(?:inity)?|nan)",
+                          re.ASCII | re.IGNORECASE)
 
 
 def iso_date(text: str) -> date:
@@ -259,6 +263,15 @@ def ascii_int(text: str) -> int:
     return int(text)
 
 
+def ascii_float(text: str) -> float:
+    """A decimal of ASCII digits, such as `29`, `-3.5`, `.5` or `1e-3`, with
+    an optional leading `-`; float alone also takes `2_9.0`, ` 29 `, `+5` and
+    non-ASCII digits such as `٢٥.8`."""
+    if not _ASCII_FLOAT.fullmatch(text):
+        raise ValueError(f"not a decimal of ASCII digits: {text!r}")
+    return float(text)
+
+
 def _flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"must be 0 or 1, got {text!r}")
@@ -266,7 +279,7 @@ def _flag(text: str) -> bool:
 
 
 def _finite_float(text: str) -> float:
-    value = float(text)
+    value = ascii_float(text)
     if not math.isfinite(value):
         raise ValueError(f"must be a finite number, got {text!r}")
     return value

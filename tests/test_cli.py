@@ -335,12 +335,20 @@ class TestAttentionCommand:
         views.write_text(
             "wiki_project,page_title,date,views\n"
             "aa.wikipedia,Stale,2013-01-01,500\n"
+            "bb.wikipedia,Older,2012-01-01,70\n"
         )
         code = main(["attention", "--pageviews", str(views),
                      "--election-date", "2014-05-25",
                      "--output-dir", str(tmp_path / "att")])
         capsys.readouterr()
         assert code == 3
+        manifest = json.loads((tmp_path / "att" / "manifest.json").read_text())
+        assert manifest["status"] == "error"
+        assert manifest["outputs"] == []
+        assert manifest["errors"] == [
+            "aa.wikipedia/Stale: no data within 30 days of 2014-05-25",
+            "bb.wikipedia/Older: no data within 30 days of 2014-05-25",
+        ]
 
 
 class TestReportCommand:
@@ -358,6 +366,31 @@ class TestReportCommand:
         assert scatter[0].endswith(",cluster")
         clusters = {line.rsplit(",", 1)[1] for line in scatter[1:]}
         assert clusters == {"new", "incumbent", "other"}
+
+
+class TestFailedRun:
+    """A failed fit, report or attention run replaces the manifest an earlier
+    successful run left in its output directory."""
+
+    @pytest.mark.parametrize("command,pageviews,extra", [
+        ("fit", PAGEVIEWS, ["--dataset", PARTIES, "--models", "1.0,1.1"]),
+        ("report", PAGEVIEWS, ["--dataset", PARTIES]),
+        ("attention", GENERAL, ["--election-date", "2014-05-25"]),
+    ], ids=["fit", "report", "attention"])
+    def test_missing_input_leaves_an_error_manifest(self, tmp_path, capsys, command,
+                                                    pageviews, extra):
+        out, missing = tmp_path / "out", tmp_path / "absent.csv"
+        assert main([command, *extra, "--pageviews", pageviews, "--output-dir", str(out)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["status"] == "ok"
+        code = main([command, *extra, "--pageviews", str(missing), "--output-dir", str(out)])
+        capsys.readouterr()
+        assert code == 3
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["command"] == command
+        assert manifest["config"]["pageviews"] == str(missing)
+        assert manifest["status"] == "error"
+        assert manifest["outputs"] == []
+        assert len(manifest["errors"]) == 1 and str(missing) in manifest["errors"][0]
 
 
 class TestIngestCommand:
@@ -532,6 +565,7 @@ INPUT_DEFECTS = {
     ("parties", "duplicate_key"): "Arcadia,2014-05-25,p1,B,B,B,0,0,20.0,15.0,120,aa.wikipedia,B\n",
     ("parties", "not_utf8"): b"Arcadia,2014-05-25,p2,Caf\xe9,B,B,0,0,20.0,15.0,120,aa.wikipedia,B\n",
     ("parties", "nan"): "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,nan,120,aa.wikipedia,B\n",
+    ("parties", "lax_decimal"): "Arcadia,2014-05-25,p2,B,B,B,0,0, 2_9.0 ,,120,aa.wikipedia,B\n",
     ("pageviews", "missing_column"): "date",
     ("pageviews", "short_row"): "aa.wikipedia,X\n",
     ("pageviews", "bad_number"): "aa.wikipedia,X,2014-05-19,many\n",
@@ -543,12 +577,14 @@ INPUT_DEFECTS = {
     ("turnout", "bad_number"): "lang02,100,abc,50.0,51.0,0\n",
     ("turnout", "bad_flag"): "lang02,100,120,50.0,51.0,yes\n",
     ("turnout", "negative_count"): "lang02,100,-5,50.0,51.0,0\n",
+    ("turnout", "lax_decimal"): "lang02,100,120,\u0665\u0660.0,51.0,0\n",
     ("scenario", "missing_column"): "incumbent",
     ("scenario", "short_row"): "b,10.0\n",
     ("scenario", "bad_number"): "b,lots,10.0,0,0\n",
     ("scenario", "bad_flag"): "b,10.0,10.0,yes,0\n",
     ("scenario", "inf"): "b,inf,10.0,0,0\n",
     ("scenario", "nan"): "b,10.0,nan,0,0\n",
+    ("scenario", "lax_decimal"): "b,+10.0,10.0,0,0\n",
     ("pages", "missing_column"): "wiki_project",
     ("pages", "short_row"): "bb.wikipedia\n",
 }
@@ -579,6 +615,8 @@ class TestMalformedInputs:
             assert "line 4" in err
         if defect in ("inf", "nan"):
             assert "must be a finite number" in err
+        if defect == "lax_decimal":
+            assert "not a decimal of ASCII digits" in err
 
 
 # rows after a page boundary (A, A, B): the defect sits on line 5, in page B or back in A
@@ -641,30 +679,34 @@ class TestPageViewRowErrors:
         assert capsys.readouterr().err == f"wikivote: line 5: {message}\n"
 
 
-# the zero of each digit block a lexically invalid integer borrows digits from:
-# Arabic-Indic, Extended Arabic-Indic, Devanagari and fullwidth; int() takes them all
+# the zero of each digit block a lexically invalid number borrows digits from:
+# Arabic-Indic, Extended Arabic-Indic, Devanagari and fullwidth; int() and float() take them all
 OTHER_ZEROS = ("\u0660", "\u06f0", "\u0966", "\uff10")
+# what a decimal may add to an integer's digits: float() takes each of them
+DECIMAL_TAILS = (".5", ".", ".25", "e3", "E-2", ".0e+1")
 
 
 @st.composite
-def not_ascii_integers(draw):
-    """Integer text that int() accepts but is not ASCII digits: an underscore
-    between digits, surrounding whitespace, a non-ASCII digit or a + sign."""
+def lax_numbers(draw, tails=("",)):
+    """Number text that int() accepts, or float() with decimal tails, but that
+    is not ASCII: an underscore between digits, surrounding whitespace, a
+    non-ASCII digit or a + sign."""
     digits = str(draw(st.integers(min_value=0, max_value=10**9)))
+    tail = draw(st.sampled_from(tails))
     form = draw(st.sampled_from(["underscore", "space", "non_ascii", "plus"]))
     if form == "underscore":
         digits = digits if len(digits) > 1 else digits + "0"
         i = draw(st.integers(min_value=1, max_value=len(digits) - 1))
-        return f"{digits[:i]}_{digits[i:]}"
+        return f"{digits[:i]}_{digits[i:]}{tail}"
     if form == "space":
         before, after = draw(st.sampled_from(
             [(" ", ""), ("", " "), (" ", " "), ("\t", ""), ("", "\u00a0")]))
-        return f"{before}{digits}{after}"
+        return f"{before}{digits}{tail}{after}"
     if form == "non_ascii":
         i = draw(st.integers(min_value=0, max_value=len(digits) - 1))
         zero = ord(draw(st.sampled_from(OTHER_ZEROS)))
-        return f"{digits[:i]}{chr(zero + int(digits[i]))}{digits[i + 1:]}"
-    return f"+{digits}"
+        return f"{digits[:i]}{chr(zero + int(digits[i]))}{digits[i + 1:]}{tail}"
+    return f"+{digits}{tail}"
 
 
 def run(argv) -> tuple[int, str]:
@@ -679,50 +721,66 @@ def run(argv) -> tuple[int, str]:
 
 
 def with_acceptance_forms(test):
-    """The test, with the four forms the acceptance criteria name as explicit examples."""
-    for text in ("1_010", " 7 ", "\u0661\u0660", "+5"):
-        test = example(text=text)(test)
+    """The test, with the forms the acceptance criteria name as explicit examples."""
+    for integer, decimal in zip(("1_010", " 7 ", "\u0661\u0660", "+5"),
+                                (" 2_9.0 ", "\u0662\u0665.8", "+5", "1_0e-3")):
+        test = example(integer=integer, decimal=decimal)(test)
     return test
 
 
+# columns and options that take decimals; the rest of those tested take integers
+DECIMALS = {"vote_share", "prev_vote_share", "turnout_prev", "turnout_curr", "news_share",
+            "wiki_share", "--backoff-base"}
+INGEST = ["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
+          "--end", "2014-05-24"]
+
+
 class TestStrictIntegers:
-    """Integer cells and options take ASCII digits only (and a `-` where a
-    negative value has its own message); int() alone takes more."""
+    """Integer and decimal cells and options take ASCII digits only (and a `-`
+    where a negative value has its own message); int() and float() alone take more."""
 
     @pytest.mark.parametrize("kind,column", [
         ("pageviews", "views"), ("parties", "news_mentions"),
         ("turnout", "views_prev"), ("turnout", "views_curr"),
+        ("parties", "vote_share"), ("parties", "prev_vote_share"),
+        ("turnout", "turnout_prev"), ("turnout", "turnout_curr"),
+        ("scenario", "news_share"), ("scenario", "wiki_share"),
     ])
-    @given(text=not_ascii_integers())
+    @given(integer=lax_numbers(), decimal=lax_numbers(DECIMAL_TAILS))
     @with_acceptance_forms
     @settings(max_examples=30, deadline=None)
     def test_csv_cell_exits_3_naming_line_and_column(self, tmp_path_factory, kind, column,
-                                                    text):
+                                                    integer, decimal):
         header, good, argv = INPUT_KINDS[kind]
-        assert int(text) >= 0  # int() takes it: only the strict lexer tells it apart
+        if column in DECIMALS:
+            text, grammar = decimal, "a decimal"
+            assert float(text) >= 0  # float() takes it: only the strict lexer tells it apart
+        else:
+            text, grammar = integer, "an integer"
+            assert int(text) >= 0
         bad = next(csv.reader([good]))
         bad[next(csv.reader([header])).index(column)] = text
         buffer = io.StringIO()
         csv.writer(buffer, lineterminator="\n").writerow(bad)
         path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
         path.write_text(header + good + buffer.getvalue(), encoding="utf-8")
-        what = {"pageviews": "page-view", "parties": "party", "turnout": "turnout"}[kind]
+        what = {"pageviews": "page-view", "parties": "party"}.get(kind, kind)
         assert run(argv(str(path))) == (3, (
             f"wikivote: line 3: malformed {what} row: {column}: "
-            f"not an integer of ASCII digits: {text!r}\n"))
+            f"not {grammar} of ASCII digits: {text!r}\n"))
 
     @pytest.mark.parametrize("argv,message", [
-        (["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
-          "--end", "2014-05-24", "--max-in-flight"], "invalid ascii_int value"),
-        (["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
-          "--end", "2014-05-24", "--retry-limit"], "invalid ascii_int value"),
+        ([*INGEST, "--max-in-flight"], "invalid ascii_int value"),
+        ([*INGEST, "--retry-limit"], "invalid ascii_int value"),
         (["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"],
          "not a positive integer"),
-    ], ids=["max-in-flight", "retry-limit", "window-days"])
-    @given(text=not_ascii_integers())
+        ([*INGEST, "--backoff-base"], "invalid ascii_float value"),
+    ], ids=["max-in-flight", "retry-limit", "window-days", "backoff-base"])
+    @given(integer=lax_numbers(), decimal=lax_numbers(DECIMAL_TAILS))
     @with_acceptance_forms
     @settings(max_examples=30, deadline=None)
-    def test_option_is_usage_error(self, argv, message, text):
+    def test_option_is_usage_error(self, argv, message, integer, decimal):
+        text = decimal if argv[-1] in DECIMALS else integer
         code, err = run([*argv, text])
         assert code == 2
         assert f"{argv[-1]}: {message}: {text!r}" in err

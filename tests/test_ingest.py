@@ -25,6 +25,7 @@ from wikivote.ingest import (
     TURNOUT_SCHEMA,
     FetchPolicy,
     PageViewSeries,
+    ascii_float,
     fetch_many,
     fetch_pageviews,
     load_pageviews_csv,
@@ -212,6 +213,20 @@ class TestFetchMany:
         (page, exc), = failures
         assert page == ("aa.wikipedia", "B")
         assert isinstance(exc, MissingPageError)
+
+    def test_views_that_are_not_json_integers_fail_their_page(self):
+        day = date(2014, 5, 18)
+        bad = [12.9, "1_0", True]
+        session = FakeSession([FakeResponse(200, pageview_payload([(day, views)]))
+                               for views in [*bad, 7]])
+        pages = [("aa.wikipedia", title) for title in ("Float", "Text", "Bool", "Good")]
+        results, failures = fetch_many(pages, day, day, FetchPolicy(max_in_flight=1),
+                                       session=session, sleep=no_sleep)
+        assert [(s.page_title, s.daily) for s in results] == [("Good", {day: 7})]
+        assert [(page, str(exc)) for page, exc in failures] == [
+            (page, f"{page[0]}/{page[1]} 2014-05-18: views must be a JSON integer, got {views!r}")
+            for page, views in zip(pages, bad)
+        ]
 
     def test_max_in_flight_is_capped(self):
         assert FetchPolicy(max_in_flight=MAX_IN_FLIGHT).max_in_flight == MAX_IN_FLIGHT
@@ -492,3 +507,10 @@ class TestReadTable:
         )
         with pytest.raises(RowError, match=r"^line 2002: turnout file .* is not UTF-8"):
             list(read_table(path, TURNOUT_SCHEMA, "turnout"))
+
+    @given(x=st.floats(allow_nan=False, allow_infinity=False))
+    @settings(max_examples=200)
+    def test_decimal_cells_keep_the_values_float_reads(self, x):
+        # repr is what the outputs write, one decimal place what the benchmark inputs hold
+        for text in (repr(x), f"{x:.1f}", f"{x:.3e}", f"{abs(x):.2f}".lstrip("0")):
+            assert ascii_float(text) == float(text)
