@@ -16,7 +16,6 @@ import math
 import os
 import sys
 import tempfile
-import warnings
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date
@@ -145,9 +144,9 @@ def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
 def cmd_ingest(args, parser) -> int:
     pages: list[tuple[str, str]] = []
     if args.pages:
-        table = ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list")
+        table = ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list", key=2)
         pages = [(project, title) for _, (project, title) in table]
-    if args.project and args.title:
+    if args.project and args.title and (args.project, args.title) not in pages:
         pages.append((args.project, args.title))
     if not pages:
         parser.error("give --project/--title or a --pages file")
@@ -223,12 +222,8 @@ def cmd_predict(args, parser) -> int:
     }
     low, high = spec.outcome_range
 
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        values = forecast.predict(report, scenario)
-
     out_rows = []
-    for row, value in zip(scenario, values):
+    for row, value in zip(scenario, forecast.predict(report, scenario)):
         flags = []
         if not low <= value <= high:
             flags.append("out_of_range")
@@ -321,7 +316,7 @@ def cmd_attention(args, parser) -> int:
             except DataError as exc:
                 dynamics.append({"series_id": series_id, "status": "error", "error": str(exc)})
                 errors.append(str(exc))
-        if len(errors) == len(series_list):
+        if series_list and len(errors) == len(series_list):
             raise DataError("attention analysis failed for every series")
         files["attention_dynamics.json"] = json.dumps(dynamics, indent=2) + "\n"
         files["attention_series.csv"] = _render_attention_series(series_list)

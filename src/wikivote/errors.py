@@ -56,5 +56,5 @@ class RateLimitError(NetworkError):
 
 
 class CurationWarning(UserWarning):
-    """Non-fatal curation notice: a party below the inclusion rule, a constant
-    design column, or a prediction outside the outcome range."""
+    """Non-fatal curation notice: a party below the inclusion rule or a
+    constant design column."""

@@ -192,26 +192,10 @@ def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two") ->
 
 
 def predict(report: ModelReport, new_rows) -> list[float]:
-    """Point predictions in the dependent variable's units, unclamped.
-
-    Values outside spec.outcome_range are reported as-is with a warning.
-    """
-    spec = report.spec
-    beta = report.fit.beta
-    low, high = spec.outcome_range
-    rows = list(new_rows)
-    predictions: list[float] = []
-    for row, design in zip(rows, _design(rows, spec)):
-        value = float(np.dot(design, beta))
-        if not low <= value <= high:
-            warnings.warn(
-                f"prediction {value:.2f} outside [{low:g}, {high:g}] for "
-                f"{getattr(row, 'party_id', '?')}",
-                CurationWarning,
-                stacklevel=2,
-            )
-        predictions.append(value)
-    return predictions
+    """Point predictions in the dependent variable's units, unclamped: values
+    outside spec.outcome_range come back as they are, for the caller to flag."""
+    return [float(np.dot(design, report.fit.beta))
+            for design in _design(list(new_rows), report.spec)]
 
 
 def _studentized_residuals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -238,36 +222,26 @@ def turnout_analysis(
     detected here. Studentized residuals are attached to the included records
     as a diagnostic to help users judge their own flags.
     """
-    if not records:
-        raise ValueError("no turnout records")
-    included = [r for r in records if not r.outlier]
+    changes = [(relative_change(r.views_prev, r.views_curr),
+                relative_change(r.turnout_prev, r.turnout_curr)) for r in records]
+    included = [pair for r, pair in zip(records, changes) if not r.outlier]
     if len(included) < 3:
         raise ComputationError(
             f"need at least 3 non-outlier records, got {len(included)}"
         )
-    views = {
-        r.language_edition: relative_change(r.views_prev, r.views_curr) for r in records
-    }
-    turnout = {
-        r.language_edition: relative_change(r.turnout_prev, r.turnout_curr) for r in records
-    }
-    x = np.array([views[r.language_edition] for r in included])
-    y = np.array([turnout[r.language_edition] for r in included])
+    x = np.array([views for views, _ in included])
+    y = np.array([turnout for _, turnout in included])
     correlation = pearson(x, y, sides=sides)
-    studentized = dict(
-        zip((r.language_edition for r in included), _studentized_residuals(x, y))
-    )
+    residuals = iter(_studentized_residuals(x, y))
     ratios = tuple(
         TurnoutRatio(
             language_edition=r.language_edition,
-            views_change=views[r.language_edition],
-            turnout_change=turnout[r.language_edition],
+            views_change=views,
+            turnout_change=turnout,
             outlier=r.outlier,
-            studentized_residual=(
-                float(studentized[r.language_edition]) if not r.outlier else None
-            ),
+            studentized_residual=None if r.outlier else float(next(residuals)),
         )
-        for r in records
+        for r, (views, turnout) in zip(records, changes)
     )
     return TurnoutReport(correlation=correlation, ratios=ratios)
 

@@ -6,8 +6,9 @@ are absent from a series, never zero-filled; window operations decide their
 own missing-data policy. Every CSV input (parties, page views, turnout
 records, scenarios, page lists) is read against a schema through _table,
 the one csv.reader: read_table converts the cells of each row through the
-schema, and the page-view loader walks the reader itself and converts its own
-cells into columns, since that file is by far the largest input.
+schema and rejects a repeated row key, and the page-view loader walks the
+reader itself and converts its own cells into columns, since that file is by
+far the largest input.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ DEFAULT_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews/per-arti
 BASE_URL_ENV_VAR = "WIKIVOTE_PAGEVIEWS_BASE_URL"
 # the most page fetches FetchPolicy lets run at once, each on its own thread
 MAX_IN_FLIGHT = 16
+USER_AGENT = "wikivote/0.1 (page-view research client)"
 
 
 class DailyView(Mapping):
@@ -122,7 +124,6 @@ class FetchPolicy:
     max_in_flight: int = 4
     retry_limit: int = 3
     backoff_base: float = 0.5
-    user_agent: str = "wikivote/0.1 (page-view research client)"
 
     def __post_init__(self):
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
@@ -166,7 +167,7 @@ def fetch_pageviews(
         e=end.strftime("%Y%m%d"),
     )
     http = session or requests.Session()
-    headers = {"User-Agent": policy.user_agent, "Accept": "application/json"}
+    headers = {"User-Agent": USER_AGENT, "Accept": "application/json"}
 
     attempt = 0
     while True:
@@ -197,7 +198,14 @@ def _series_from_items(project, title, payload, start, end) -> PageViewSeries:
     daily: dict[date, int] = {}
     for item in payload.get("items", []):
         stamp = str(item["timestamp"])
-        day = date(int(stamp[0:4]), int(stamp[4:6]), int(stamp[6:8]))
+        match = _REST_STAMP.fullmatch(stamp)
+        try:
+            day = iso_date("-".join(match.groups())) if match else None
+        except ValueError:  # a day that does not exist, such as 2014-02-30
+            day = None
+        if day is None:
+            raise NetworkError(
+                f"{project}/{title}: timestamp must be YYYYMMDDHH in ASCII digits, got {stamp!r}")
         if start <= day <= end:
             views = item["views"]
             if type(views) is not int:  # a JSON integer: not a bool, a float or a string
@@ -239,6 +247,7 @@ def fetch_many(
 
 
 _ISO_DATE = re.compile(r"[0-9]{4}-[0-9]{2}-[0-9]{2}")
+_REST_STAMP = re.compile(r"([0-9]{4})([0-9]{2})([0-9]{2})[0-9]{2}")
 _ASCII_INT = re.compile(r"-?[0-9]+")
 # float's own ASCII grammar less `_`, whitespace and `+`; nan and inf pass, for
 # their callers to reject with their own message
@@ -360,14 +369,16 @@ def _convert_cells(line: int, cells, schema, what: str) -> list:
     return values
 
 
-def read_table(path, schema, what: str):
+def read_table(path, schema, what: str, key: int = 0):
     """Yield (line, values) for every non-blank data row of the CSV at path.
 
     The checks of _table, plus a short row raising RowError with its line.
     Values come in schema order, each cell passed through its column's
     converter, and a cell its converter rejects raises RowError with its line
-    and column.
+    and column. The first `key` values form the row's key: a row that repeats
+    an earlier row's key raises RowError naming the key as a/b/c and both lines.
     """
+    first_lines: dict[tuple, int] = {}
     with _table(path, schema, what) as (reader, indices):
         # a tuple, as every schema has 2+ columns; IndexError on a blank or short row
         cells = operator.itemgetter(*indices)
@@ -378,7 +389,14 @@ def read_table(path, schema, what: str):
                 if not row:
                     continue
                 raise _short_row(reader.line_num, what) from None
-            yield reader.line_num, _convert_cells(reader.line_num, values, schema, what)
+            line = reader.line_num
+            values = _convert_cells(line, values, schema, what)
+            if key:
+                first = first_lines.setdefault(tuple(values[:key]), line)
+                if first != line:
+                    label = "/".join(map(str, values[:key]))
+                    raise RowError(line, f"duplicate {what} row {label} (first on line {first})")
+            yield line, values
 
 
 def render_csv(header, rows) -> str:
@@ -487,23 +505,18 @@ def load_party_csv(path) -> list[PartyObservation]:
     A repeated (country, election_date, party_id) fails on its second line.
     """
     rows: list[PartyObservation] = []
-    first_lines: dict[tuple[str, date, str], int] = {}
-    for line, values in read_table(path, PARTY_SCHEMA, "party"):
+    for line, values in read_table(path, PARTY_SCHEMA, "party", key=3):
         try:
-            obs = PartyObservation(*values)
+            rows.append(PartyObservation(*values))
         except ValidationError as exc:
             raise RowError(line, f"malformed party row: {exc}") from exc
-        first = first_lines.setdefault(obs.key, line)
-        if first != line:
-            raise RowError(line, f"duplicate party row {obs.label} (first on line {first})")
-        rows.append(obs)
     return rows
 
 
 def load_turnout_csv(path) -> list[TurnoutRecord]:
     """Load one turnout record per language edition (strict parsing)."""
     records: list[TurnoutRecord] = []
-    for line, values in read_table(path, TURNOUT_SCHEMA, "turnout"):
+    for line, values in read_table(path, TURNOUT_SCHEMA, "turnout", key=1):
         try:
             records.append(TurnoutRecord(*values))
         except ValueError as exc:

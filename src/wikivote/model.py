@@ -49,6 +49,8 @@ class PartyObservation:
                 f"{self.party_id}: a new party cannot carry a prior vote share "
                 f"({self.prev_vote_share})"
             )
+        if not self.is_new and self.prev_vote_share is None:
+            raise ValidationError(f"{self.party_id}: missing prior result for an established party")
         if self.news_mentions < 0:
             raise ValidationError(f"{self.party_id}: negative news_mentions")
 
@@ -165,9 +167,5 @@ def validate_dataset(raw_rows) -> Dataset:
 
 
 def vote_change(obs: PartyObservation) -> float:
-    """Vote share minus the previous result; new parties are baselined at 0."""
-    if obs.prev_vote_share is None:
-        if not obs.is_new:
-            raise ValidationError(f"{obs.party_id}: missing prior result")
-        return obs.vote_share
-    return obs.vote_share - obs.prev_vote_share
+    """Vote share minus the previous result; new parties (no prior result) are baselined at 0."""
+    return obs.vote_share - (obs.prev_vote_share or 0.0)

@@ -345,7 +345,7 @@ def pearson(x, y, *, sides: str = "two") -> CorrelationResult:
         raise ValueError("x and y must be 1-d vectors of equal length")
     n = len(x)
     if n < 3:
-        raise ValueError(f"need at least 3 observations, got {n}")
+        raise ComputationError(f"need at least 3 observations, got {n}")
     dx = x - x.mean()
     dy = y - y.mean()
     sxx = float(dx @ dx)

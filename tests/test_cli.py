@@ -259,6 +259,13 @@ class TestTurnoutCommand:
         assert {r["language_edition"] for r in outliers} == {"lang13", "lang14"}
         assert all(r["studentized_residual"] is None for r in outliers)
 
+    def test_header_only_file_is_data_error(self, tmp_path, capsys):
+        path = tmp_path / "empty.csv"
+        path.write_text(INPUT_KINDS["turnout"][0])
+        assert main(["turnout", "--records", str(path)]) == 3
+        assert capsys.readouterr().err == (
+            "wikivote: need at least 3 non-outlier records, got 0\n")
+
     def test_malformed_records_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -330,6 +337,19 @@ class TestAttentionCommand:
         assert by_id["aa.wikipedia:Good"]["status"] == "ok"
         assert by_id["bb.wikipedia:Stale"]["status"] == "error"
 
+    def test_header_only_file_writes_empty_outputs(self, tmp_path, capsys):
+        views = tmp_path / "views.csv"
+        views.write_text("wiki_project,page_title,date,views\n")
+        out = tmp_path / "att"
+        assert main(["attention", "--pageviews", str(views), "--election-date", "2014-05-25",
+                     "--output-dir", str(out)]) == 0
+        assert capsys.readouterr().err == "attention: 0 series analysed, 0 failed\n"
+        assert (out / "attention_dynamics.json").read_text() == "[]\n"
+        assert (out / "attention_series.csv").read_text() == "series_id,date,views,log_views\n"
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["status"] == "ok" and manifest["errors"] == []
+        assert manifest["outputs"] == ["attention_dynamics.json", "attention_series.csv"]
+
     def test_all_failures_is_data_error(self, tmp_path, capsys):
         views = tmp_path / "views.csv"
         views.write_text(
@@ -366,6 +386,14 @@ class TestReportCommand:
         assert scatter[0].endswith(",cluster")
         clusters = {line.rsplit(",", 1)[1] for line in scatter[1:]}
         assert clusters == {"new", "incumbent", "other"}
+
+    def test_header_only_party_file_is_data_error(self, tmp_path, capsys):
+        # too few rows to correlate is a data error, as in turnout, not a usage error
+        parties = tmp_path / "parties.csv"
+        parties.write_text(PARTY_HEADER)
+        assert main(["report", "--dataset", str(parties), "--pageviews", PAGEVIEWS,
+                     "--output-dir", str(tmp_path / "rep")]) == 3
+        assert capsys.readouterr().err == "wikivote: need at least 3 observations, got 0\n"
 
 
 class TestFailedRun:
@@ -440,13 +468,26 @@ class TestIngestCommand:
         responses.get(f"{base}/aa.wikipedia/{path.format('Gone')}", status=404)
         pages = tmp_path / "pages.csv"
         pages.write_text("wiki_project,page_title\naa.wikipedia,Unity Party\naa.wikipedia,Gone\n")
-        code = main(["ingest", "--pages", str(pages), "--start", "2014-05-18",
-                     "--end", "2014-05-24"])
+        # Unity Party is named by the page list and by --project/--title: fetched once
+        code = main(["ingest", "--pages", str(pages), "--project", "aa.wikipedia",
+                     "--title", "Unity Party", "--start", "2014-05-18", "--end", "2014-05-24"])
         out, err = capsys.readouterr()
         assert code == 0
         assert out == render_pageviews_csv([PageViewSeries("aa.wikipedia", "Unity Party", week)])
         assert err == "ingest: aa.wikipedia/Gone: no page-view record for aa.wikipedia/Gone\n"
         assert len(responses.calls) == 2
+
+    @responses.activate
+    def test_page_listed_twice_is_data_error_before_any_request(self, tmp_path, capsys):
+        pages = tmp_path / "pages.csv"
+        pages.write_text("wiki_project,page_title\naa.wikipedia,A\naa.wikipedia,B\n"
+                         "aa.wikipedia,A\n")
+        code = main(["ingest", "--pages", str(pages), "--start", "2014-05-18",
+                     "--end", "2014-05-24"])
+        assert code == 3
+        assert capsys.readouterr().err == (
+            "wikivote: line 4: duplicate page list row aa.wikipedia/A (first on line 2)\n")
+        assert len(responses.calls) == 0
 
     def test_start_after_end_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -566,6 +607,7 @@ INPUT_DEFECTS = {
     ("parties", "not_utf8"): b"Arcadia,2014-05-25,p2,Caf\xe9,B,B,0,0,20.0,15.0,120,aa.wikipedia,B\n",
     ("parties", "nan"): "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,nan,120,aa.wikipedia,B\n",
     ("parties", "lax_decimal"): "Arcadia,2014-05-25,p2,B,B,B,0,0, 2_9.0 ,,120,aa.wikipedia,B\n",
+    ("parties", "no_prior"): "Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,,120,aa.wikipedia,B\n",
     ("pageviews", "missing_column"): "date",
     ("pageviews", "short_row"): "aa.wikipedia,X\n",
     ("pageviews", "bad_number"): "aa.wikipedia,X,2014-05-19,many\n",
@@ -578,6 +620,7 @@ INPUT_DEFECTS = {
     ("turnout", "bad_flag"): "lang02,100,120,50.0,51.0,yes\n",
     ("turnout", "negative_count"): "lang02,100,-5,50.0,51.0,0\n",
     ("turnout", "lax_decimal"): "lang02,100,120,\u0665\u0660.0,51.0,0\n",
+    ("turnout", "duplicate_key"): "lang01,200,220,40.0,41.0,0\n",
     ("scenario", "missing_column"): "incumbent",
     ("scenario", "short_row"): "b,10.0\n",
     ("scenario", "bad_number"): "b,lots,10.0,0,0\n",
@@ -587,6 +630,14 @@ INPUT_DEFECTS = {
     ("scenario", "lax_decimal"): "b,+10.0,10.0,0,0\n",
     ("pages", "missing_column"): "wiki_project",
     ("pages", "short_row"): "bb.wikipedia\n",
+}
+# defect -> a fragment its message must hold, beyond the line
+DEFECT_MESSAGES = {
+    "inf": "must be a finite number",
+    "nan": "must be a finite number",
+    "lax_decimal": "not a decimal of ASCII digits",
+    "duplicate_key": "(first on line 2)",
+    "no_prior": "p2: missing prior result",
 }
 
 
@@ -613,10 +664,7 @@ class TestMalformedInputs:
             assert "line 1" in err and bad in err
         else:
             assert "line 4" in err
-        if defect in ("inf", "nan"):
-            assert "must be a finite number" in err
-        if defect == "lax_decimal":
-            assert "not a decimal of ASCII digits" in err
+        assert DEFECT_MESSAGES.get(defect, "") in err
 
 
 # rows after a page boundary (A, A, B): the defect sits on line 5, in page B or back in A
@@ -709,6 +757,47 @@ def lax_numbers(draw, tails=("",)):
     return f"+{digits}{tail}"
 
 
+@st.composite
+def lax_dates(draw):
+    """Text that names a day but is not YYYY-MM-DD in ASCII digits: the basic or
+    week form (date.fromisoformat takes both on Python 3.11), a one-digit month,
+    a non-ASCII digit or surrounding whitespace."""
+    day = draw(st.dates(min_value=date(1000, 1, 1)))
+    iso = day.isoformat()
+    form = draw(st.sampled_from(["basic", "week", "short_month", "non_ascii", "space"]))
+    if form == "basic":
+        return iso.replace("-", "")
+    if form == "week":
+        year, week, weekday = day.isocalendar()
+        return f"{year:04d}-W{week:02d}-{weekday}"
+    if form == "short_month":
+        return f"{day.year}-{draw(st.integers(min_value=1, max_value=9))}-{day.day:02d}"
+    if form == "non_ascii":
+        i = draw(st.sampled_from([0, 1, 2, 3, 5, 6, 8, 9]))
+        zero = ord(draw(st.sampled_from(OTHER_ZEROS)))
+        return f"{iso[:i]}{chr(zero + int(iso[i]))}{iso[i + 1:]}"
+    before, after = draw(st.sampled_from([(" ", ""), ("", " "), ("\t", ""), ("", "\u00a0")]))
+    return f"{before}{iso}{after}"
+
+
+@st.composite
+def lax_flags(draw):
+    """Flag text other than `0` and `1` that a lenient reader might still take:
+    a word, another integer, a padded 0 or 1, or a non-ASCII digit 0 or 1."""
+    bit = draw(st.sampled_from("01"))
+    form = draw(st.sampled_from(["word", "integer", "padded", "non_ascii"]))
+    if form == "word":
+        return draw(st.sampled_from(["true", "false", "True", "FALSE", "yes", "no", "on"]))
+    if form == "integer":
+        return str(draw(st.integers(min_value=2, max_value=10**9)
+                        | st.integers(min_value=-10**9, max_value=-1)))
+    if form == "padded":
+        before, after = draw(st.sampled_from(
+            [(" ", ""), ("", " "), ("\t", ""), ("", "\u00a0"), ("0", ""), ("+", ""), ("", ".0")]))
+        return f"{before}{bit}{after}"
+    return chr(ord(draw(st.sampled_from(OTHER_ZEROS))) + int(bit))
+
+
 def run(argv) -> tuple[int, str]:
     """main's exit code, argparse's included, and what it wrote to stderr."""
     err = io.StringIO()
@@ -722,22 +811,41 @@ def run(argv) -> tuple[int, str]:
 
 def with_acceptance_forms(test):
     """The test, with the forms the acceptance criteria name as explicit examples."""
-    for integer, decimal in zip(("1_010", " 7 ", "\u0661\u0660", "+5"),
-                                (" 2_9.0 ", "\u0662\u0665.8", "+5", "1_0e-3")):
-        test = example(integer=integer, decimal=decimal)(test)
+    for integer, decimal, day, flag in zip(
+            ("1_010", " 7 ", "\u0661\u0660", "+5"),
+            (" 2_9.0 ", "\u0662\u0665.8", "+5", "1_0e-3"),
+            ("20140525", "2014-W21-7", " 2014-05-25", "\u0662\u0660\u0661\u0664-05-25"),
+            ("true", "2", " 1", "\u0661")):
+        test = example(integer=integer, decimal=decimal, day=day, flag=flag)(test)
     return test
 
 
-# columns and options that take decimals; the rest of those tested take integers
+# columns and options by the kind of value they take; the rest of those tested take integers
 DECIMALS = {"vote_share", "prev_vote_share", "turnout_prev", "turnout_curr", "news_share",
             "wiki_share", "--backoff-base"}
+DATES = {"date", "election_date", "--start", "--end", "--election-date"}
+FLAGS = {"is_new", "is_incumbent", "outlier", "new_party", "incumbent"}
+
+
+def drawn_cell(column, integer, decimal, day, flag) -> tuple[str, str]:
+    """The drawn text of the kind column takes, and what its converter says of it."""
+    if column in DATES:
+        return day, f"not a YYYY-MM-DD date: {day!r}"
+    if column in FLAGS:
+        return flag, f"must be 0 or 1, got {flag!r}"
+    if column in DECIMALS:
+        assert float(decimal) >= 0  # float() takes it: only the strict lexer tells it apart
+        return decimal, f"not a decimal of ASCII digits: {decimal!r}"
+    assert int(integer) >= 0
+    return integer, f"not an integer of ASCII digits: {integer!r}"
 INGEST = ["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
           "--end", "2014-05-24"]
 
 
 class TestStrictIntegers:
-    """Integer and decimal cells and options take ASCII digits only (and a `-`
-    where a negative value has its own message); int() and float() alone take more."""
+    """Integer, decimal, date and flag cells and options take ASCII digits only (and
+    a `-` where a negative value has its own message); int(), float() and, on
+    Python 3.11, date.fromisoformat alone take more."""
 
     @pytest.mark.parametrize("kind,column", [
         ("pageviews", "views"), ("parties", "news_mentions"),
@@ -745,19 +853,18 @@ class TestStrictIntegers:
         ("parties", "vote_share"), ("parties", "prev_vote_share"),
         ("turnout", "turnout_prev"), ("turnout", "turnout_curr"),
         ("scenario", "news_share"), ("scenario", "wiki_share"),
+        ("pageviews", "date"), ("parties", "election_date"),
+        ("parties", "is_new"), ("parties", "is_incumbent"), ("turnout", "outlier"),
+        ("scenario", "new_party"), ("scenario", "incumbent"),
     ])
-    @given(integer=lax_numbers(), decimal=lax_numbers(DECIMAL_TAILS))
+    @given(integer=lax_numbers(), decimal=lax_numbers(DECIMAL_TAILS), day=lax_dates(),
+           flag=lax_flags())
     @with_acceptance_forms
     @settings(max_examples=30, deadline=None)
     def test_csv_cell_exits_3_naming_line_and_column(self, tmp_path_factory, kind, column,
-                                                    integer, decimal):
+                                                    integer, decimal, day, flag):
         header, good, argv = INPUT_KINDS[kind]
-        if column in DECIMALS:
-            text, grammar = decimal, "a decimal"
-            assert float(text) >= 0  # float() takes it: only the strict lexer tells it apart
-        else:
-            text, grammar = integer, "an integer"
-            assert int(text) >= 0
+        text, message = drawn_cell(column, integer, decimal, day, flag)
         bad = next(csv.reader([good]))
         bad[next(csv.reader([header])).index(column)] = text
         buffer = io.StringIO()
@@ -765,9 +872,8 @@ class TestStrictIntegers:
         path = tmp_path_factory.mktemp(kind) / f"{kind}.csv"
         path.write_text(header + good + buffer.getvalue(), encoding="utf-8")
         what = {"pageviews": "page-view", "parties": "party"}.get(kind, kind)
-        assert run(argv(str(path))) == (3, (
-            f"wikivote: line 3: malformed {what} row: {column}: "
-            f"not {grammar} of ASCII digits: {text!r}\n"))
+        assert run(argv(str(path))) == (
+            3, f"wikivote: line 3: malformed {what} row: {column}: {message}\n")
 
     @pytest.mark.parametrize("argv,message", [
         ([*INGEST, "--max-in-flight"], "invalid ascii_int value"),
@@ -775,12 +881,17 @@ class TestStrictIntegers:
         (["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"],
          "not a positive integer"),
         ([*INGEST, "--backoff-base"], "invalid ascii_float value"),
-    ], ids=["max-in-flight", "retry-limit", "window-days", "backoff-base"])
-    @given(integer=lax_numbers(), decimal=lax_numbers(DECIMAL_TAILS))
+        ([*INGEST, "--start"], "not a YYYY-MM-DD date"),
+        ([*INGEST, "--end"], "not a YYYY-MM-DD date"),
+        (["attention", "--pageviews", GENERAL, "--election-date"], "not a YYYY-MM-DD date"),
+    ], ids=["max-in-flight", "retry-limit", "window-days", "backoff-base", "start", "end",
+            "election-date"])
+    @given(integer=lax_numbers(), decimal=lax_numbers(DECIMAL_TAILS), day=lax_dates(),
+           flag=lax_flags())
     @with_acceptance_forms
     @settings(max_examples=30, deadline=None)
-    def test_option_is_usage_error(self, argv, message, integer, decimal):
-        text = decimal if argv[-1] in DECIMALS else integer
+    def test_option_is_usage_error(self, argv, message, integer, decimal, day, flag):
+        text, _ = drawn_cell(argv[-1], integer, decimal, day, flag)
         code, err = run([*argv, text])
         assert code == 2
         assert f"{argv[-1]}: {message}: {text!r}" in err

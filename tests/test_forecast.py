@@ -182,10 +182,7 @@ class TestPredict:
         report = fit_model(demo_features, spec)
         rows = subset_small(demo_features) if spec.subset == "small_parties" else demo_features
         x, _ = build_design_matrix(rows, spec)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            values = predict(report, rows)
-        assert values == [float(np.dot(row, report.fit.beta)) for row in x.values]
+        assert predict(report, rows) == [float(np.dot(row, report.fit.beta)) for row in x.values]
 
     def test_missing_covariate_is_named(self):
         report = report_with_betas("1.1", [0.0] * 7)
@@ -200,9 +197,11 @@ class TestPredict:
         with pytest.raises(ComputationError, match="wiki_share"):
             predict(report, [Partial()])
 
-    def test_out_of_range_prediction_warns_but_returns(self):
+    def test_out_of_range_prediction_returns_unclamped_without_warning(self):
+        # cmd_predict's out_of_range flag is the one range check
         report = report_with_betas("1.0", [120.0, 0.0, 0.0, 0.0, 0.0])
-        with pytest.warns(CurationWarning, match="outside"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             (value,) = predict(report, [feature_row()])
         assert value == pytest.approx(120.0)
 
@@ -291,7 +290,8 @@ class TestTurnoutAnalysis:
             turnout_record("x", 0, 100, 50.0, 50.0)
         with pytest.raises(ValueError):
             turnout_record("x", 100, 100, 0.0, 50.0)
-        with pytest.raises(ValueError):
+        # no records at all is the general "at least 3" rule, a data error
+        with pytest.raises(ComputationError, match="at least 3 non-outlier records, got 0"):
             turnout_analysis([])
 
 

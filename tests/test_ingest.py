@@ -23,6 +23,7 @@ from wikivote.ingest import (
     BASE_URL_ENV_VAR,
     MAX_IN_FLIGHT,
     TURNOUT_SCHEMA,
+    USER_AGENT,
     FetchPolicy,
     PageViewSeries,
     ascii_float,
@@ -101,7 +102,8 @@ class TestFetchPageviews:
         assert series.daily == dict(WEEK)
         url = session.requests[0]["url"]
         assert "/aa.wikipedia/all-access/all-agents/Unity_Party/daily/2014051800/2014052400" in url
-        assert session.requests[0]["headers"]["User-Agent"]
+        assert session.requests[0]["headers"]["User-Agent"] == (
+            "wikivote/0.1 (page-view research client)") == USER_AGENT
 
     def test_days_outside_range_are_dropped(self):
         padded = [(date(2014, 5, 17), 999)] + WEEK + [(date(2014, 5, 25), 999)]
@@ -226,6 +228,23 @@ class TestFetchMany:
         assert [(page, str(exc)) for page, exc in failures] == [
             (page, f"{page[0]}/{page[1]} 2014-05-18: views must be a JSON integer, got {views!r}")
             for page, views in zip(pages, bad)
+        ]
+
+    def test_timestamps_that_are_not_ten_ascii_digits_fail_their_page(self):
+        bad = ["2014 51800", "\u0662\u0660\u0661\u0664051800", "2014-05-18", "20140518",
+               "2014023000"]
+        session = FakeSession(
+            [FakeResponse(200, {"items": [{"timestamp": stamp, "views": 5}]}) for stamp in bad]
+            + [FakeResponse(200, pageview_payload([(date(2014, 5, 18), 7)]))])
+        pages = [("aa.wikipedia", f"P{i}") for i in range(len(bad) + 1)]
+        results, failures = fetch_many(pages, date(2014, 2, 1), date(2014, 5, 24),
+                                       FetchPolicy(max_in_flight=1),
+                                       session=session, sleep=no_sleep)
+        assert [(s.page_title, s.daily) for s in results] == [("P5", {date(2014, 5, 18): 7})]
+        assert [(page, type(exc), str(exc)) for page, exc in failures] == [
+            (page, NetworkError, f"{page[0]}/{page[1]}: timestamp must be YYYYMMDDHH in ASCII "
+                                 f"digits, got {stamp!r}")
+            for page, stamp in zip(pages, bad)
         ]
 
     def test_max_in_flight_is_capped(self):

@@ -44,6 +44,10 @@ class TestPartyObservation:
         obs(new=True, prev=None)
         obs(new=True, prev=0.0)
 
+    def test_established_party_needs_prior_share(self):
+        with pytest.raises(ValidationError, match="p1: missing prior result"):
+            obs(new=False, prev=None)
+
     def test_negative_mentions_rejected(self):
         with pytest.raises(ValidationError):
             obs(mentions=-1)
@@ -135,7 +139,3 @@ class TestVoteChange:
     def test_new_party_baselined_at_zero(self):
         assert vote_change(obs(share=7.3, prev=None, new=True)) == pytest.approx(7.3)
         assert vote_change(obs(share=7.3, prev=0.0, new=True)) == pytest.approx(7.3)
-
-    def test_missing_prior_for_established_party(self):
-        with pytest.raises(ValidationError, match="missing prior"):
-            vote_change(obs(prev=None))

@@ -396,7 +396,8 @@ class TestPearson:
         )
 
     def test_rejects_degenerate_input(self):
-        with pytest.raises(ValueError):
+        # too few rows is a data error (exit 3), like a constant input
+        with pytest.raises(ComputationError, match="need at least 3 observations, got 2"):
             pearson([1.0, 2.0], [1.0, 2.0])
         with pytest.raises(ComputationError):
             pearson([1.0, 1.0, 1.0], [1.0, 2.0, 3.0])
