@@ -98,8 +98,8 @@ def _parse_models(text: str, parser: argparse.ArgumentParser) -> list[str]:
     return ids
 
 
-def _fmt(value: float, places: int = 2) -> str:
-    return f"{value:.{places}f}"
+def _fmt(value: float) -> str:
+    return f"{value:.2f}"
 
 
 def _beta_cell(term: stats.TermEstimate) -> str:
@@ -142,11 +142,13 @@ def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
 
 
 def cmd_ingest(args, parser) -> int:
+    if bool(args.project) != bool(args.title):
+        parser.error("give --project and --title together")
     pages: list[tuple[str, str]] = []
     if args.pages:
         table = ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list", key=2)
         pages = [(project, title) for _, (project, title) in table]
-    if args.project and args.title and (args.project, args.title) not in pages:
+    if args.project and (args.project, args.title) not in pages:
         pages.append((args.project, args.title))
     if not pages:
         parser.error("give --project/--title or a --pages file")
@@ -391,10 +393,14 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--pages", help="CSV of wiki_project,page_title pairs")
     p_ingest.add_argument("--start", type=_date_arg, required=True)
     p_ingest.add_argument("--end", type=_date_arg, required=True)
-    p_ingest.add_argument("--max-in-flight", type=ingest.ascii_int, default=4,
-                          help=f"pages fetched at once, 1 to {ingest.MAX_IN_FLIGHT} (default 4)")
-    p_ingest.add_argument("--retry-limit", type=ingest.ascii_int, default=3)
-    p_ingest.add_argument("--backoff-base", type=ingest.ascii_float, default=0.5)
+    fetch = ingest.FetchPolicy()
+    p_ingest.add_argument("--max-in-flight", type=ingest.ascii_int, default=fetch.max_in_flight,
+                          help=f"pages fetched at once, 1 to {ingest.MAX_IN_FLIGHT} "
+                               "(default %(default)s)")
+    p_ingest.add_argument("--retry-limit", type=ingest.ascii_int, default=fetch.retry_limit,
+                          help=f"retries per page, 0 to {ingest.MAX_RETRY_LIMIT} "
+                               "(default %(default)s)")
+    p_ingest.add_argument("--backoff-base", type=ingest.ascii_float, default=fetch.backoff_base)
     p_ingest.add_argument("--out", help="output CSV path (default stdout)")
     p_ingest.set_defaults(func=cmd_ingest)
 

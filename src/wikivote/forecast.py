@@ -165,27 +165,18 @@ def build_design_matrix(
     in the fit.
     """
     used = subset_small(rows) if spec.subset == "small_parties" else list(rows)
-    if not used:
-        raise ComputationError(f"model {spec.id}: no rows left after subsetting")
-
-    design = _design(used, spec)
-    names = spec.term_names
-    for name, column in zip(names[1:], design.T[1:]):
+    x = DesignMatrix(values=_design(used, spec), column_names=spec.term_names)
+    for name, column in zip(x.column_names[1:], x.values.T[1:]):
         if np.ptp(column) == 0.0:
-            warnings.warn(
-                f"model {spec.id}: column {name!r} is constant",
-                CurationWarning,
-                stacklevel=2,
-            )
-    y = np.array([getattr(r, spec.dependent) for r in used])
-    return DesignMatrix(values=design, column_names=names), y
+            warnings.warn(f"model {spec.id}: column {name!r} is constant", CurationWarning,
+                          stacklevel=2)
+    return x, np.array([getattr(r, spec.dependent) for r in used])
 
 
 def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two") -> ModelReport:
     """Fit one model spec over the feature rows."""
-    x, y = build_design_matrix(rows, spec)
     try:
-        fit = ols_fit(x, y, sides=sides)
+        fit = ols_fit(*build_design_matrix(rows, spec), sides=sides)
     except ComputationError as exc:
         raise ComputationError(f"model {spec.id}: {exc}") from exc
     return ModelReport(spec=spec, fit=fit)
@@ -199,10 +190,8 @@ def predict(report: ModelReport, new_rows) -> list[float]:
 
 
 def _studentized_residuals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Internally studentized residuals of the straight-line fit y ~ x."""
+    """Internally studentized residuals of the straight-line fit y ~ x, n >= 3."""
     dof = len(x) - 2
-    if dof <= 0:
-        return np.full(len(x), np.nan)
     design = np.column_stack([np.ones(len(x)), x])
     q, _, beta = qr_least_squares(design, y)
     resid = y - design @ beta

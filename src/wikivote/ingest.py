@@ -43,6 +43,9 @@ DEFAULT_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews/per-arti
 BASE_URL_ENV_VAR = "WIKIVOTE_PAGEVIEWS_BASE_URL"
 # the most page fetches FetchPolicy lets run at once, each on its own thread
 MAX_IN_FLIGHT = 16
+# the most retries FetchPolicy allows per page: the wait doubles each time, so ten
+# at the default backoff_base already wait 0.5 * (2**10 - 1) s, about 8.5 minutes
+MAX_RETRY_LIMIT = 10
 USER_AGENT = "wikivote/0.1 (page-view research client)"
 
 
@@ -129,8 +132,9 @@ class FetchPolicy:
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
             raise ValueError(
                 f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}, got {self.max_in_flight}")
-        if self.retry_limit < 0:
-            raise ValueError("retry_limit must be >= 0")
+        if not 0 <= self.retry_limit <= MAX_RETRY_LIMIT:
+            raise ValueError(
+                f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got {self.retry_limit}")
         if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
             raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
 

@@ -154,23 +154,17 @@ def qr_least_squares(values: np.ndarray, y: np.ndarray, column_names=None):
     return q, r, _back_substitute(r, q.T @ y)
 
 
-def qr_solve(x, y: np.ndarray) -> np.ndarray:
-    """Least-squares solution of min ||y - Xb|| via Householder QR.
-
-    Accepts a DesignMatrix or a plain array (no intercept requirement on the
-    plain-array path; used internally for small auxiliary fits).
-    """
-    if isinstance(x, DesignMatrix):
-        values, names = x.values, x.column_names
-    else:
-        values, names = np.asarray(x, dtype=float), None
+def qr_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares solution of min ||y - Xb|| via Householder QR, for a plain
+    array X with at least as many rows as columns (no intercept required)."""
+    values = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
     n = values.shape[0]
     if y.shape != (n,):
         raise ValueError(f"response length {y.shape} does not match {n} rows")
     if values.ndim != 2 or n < values.shape[1]:
         raise ValueError(f"design of shape {values.shape} needs at least as many rows as columns")
-    return qr_least_squares(values, y, names)[2]
+    return qr_least_squares(values, y)[2]
 
 
 def ols_fit(x: DesignMatrix, y: np.ndarray, *, sides: str = "two") -> FitResult:
@@ -266,25 +260,14 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ComputationError("incomplete beta continued fraction did not converge")
 
 
-def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
-    """I_x(a, b) for a, b > 0 and x in [0, 1].
+def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
+    """The regularized incomplete beta I_x(a, b), a, b > 0, given both x in
+    [0, 1] and y = 1 - x.
 
     Evaluates the continued fraction on whichever side of the crossover point
     x = (a+1)/(a+b+2) converges quickly, using the symmetry
-    I_x(a, b) = 1 - I_{1-x}(b, a).
-    """
-    if not 0.0 <= x <= 1.0:
-        raise ValueError(f"x must be in [0, 1], got {x}")
-    if a <= 0.0 or b <= 0.0:
-        raise ValueError("a and b must be positive")
-    return _incomplete_beta(a, b, x, 1.0 - x)
-
-
-def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
-    """I_x(a, b) given both x and y = 1 - x.
-
-    Taking y from the caller keeps its relative precision when x rounds to
-    (or near) 1, where 1.0 - x would lose it.
+    I_x(a, b) = 1 - I_{1-x}(b, a). Taking y from the caller keeps its relative
+    precision when x rounds to (or near) 1, where 1.0 - x would lose it.
     """
     if x == 0.0:
         return 0.0

@@ -15,7 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, pageview_payload
 from wikivote.cli import main
-from wikivote.ingest import MAX_IN_FLIGHT, PageViewSeries, render_pageviews_csv
+from wikivote.ingest import (MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy, PageViewSeries,
+                             render_pageviews_csv)
 
 PARTIES = str(DATA_DIR / "demo_parties.csv")
 PAGEVIEWS = str(DATA_DIR / "demo_pageviews.csv")
@@ -124,6 +125,14 @@ class TestFit:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["status"] == "error"
         assert manifest["outputs"] == []
+
+    def test_header_only_party_file_names_the_model(self, tmp_path, capsys):
+        parties = tmp_path / "parties.csv"
+        parties.write_text(PARTY_HEADER)
+        assert main(["fit", "--dataset", str(parties), "--pageviews", PAGEVIEWS,
+                     "--output-dir", str(tmp_path / "out")]) == 3
+        assert capsys.readouterr().err == (
+            "wikivote: model 1.0: need more rows than columns to fit: n=0, columns=5\n")
 
     def test_missing_dataset_is_data_error(self, tmp_path, capsys):
         code = main([
@@ -456,6 +465,41 @@ class TestIngestCommand:
             capsys.readouterr().err)
         assert len(responses.calls) == 0
 
+    @pytest.mark.parametrize("value", [str(MAX_RETRY_LIMIT + 1), "99999999999999999999"])
+    @responses.activate
+    def test_retry_limit_above_the_bound_is_usage_error_before_any_request(self, capsys, value):
+        code = main([
+            "ingest", "--project", "aa.wikipedia", "--title", "Unity Party",
+            "--start", "2014-05-18", "--end", "2014-05-24", "--retry-limit", value,
+        ])
+        assert code == 2
+        assert f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got {value}" in (
+            capsys.readouterr().err)
+        assert len(responses.calls) == 0
+
+    def test_help_states_bounds_and_defaults(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["ingest", "--help"])
+        assert excinfo.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        policy = FetchPolicy()
+        assert f"1 to {MAX_IN_FLIGHT} (default {policy.max_in_flight})" in text
+        assert f"0 to {MAX_RETRY_LIMIT} (default {policy.retry_limit})" in text
+
+    @pytest.mark.parametrize("given", [["--project", "aa.wikipedia"], ["--title", "X"]],
+                             ids=["project", "title"])
+    @pytest.mark.parametrize("with_pages", [False, True], ids=["alone", "with-pages"])
+    @responses.activate
+    def test_project_or_title_alone_is_usage_error_before_any_request(self, tmp_path, given,
+                                                                       with_pages):
+        pages = tmp_path / "pages.csv"
+        pages.write_text("wiki_project,page_title\naa.wikipedia,A\n")
+        argv = ["ingest", *given, "--start", "2014-05-18", "--end", "2014-05-24"]
+        code, err = run([*argv, "--pages", str(pages)] if with_pages else argv)
+        assert code == 2
+        assert "give --project and --title together" in err
+        assert len(responses.calls) == 0
+
     @responses.activate
     def test_writes_fetched_pages_and_names_the_missing_one(self, tmp_path, capsys, monkeypatch):
         # no injected session: the real requests.Session, answered by responses in-process
@@ -510,43 +554,6 @@ class TestIngestCommand:
                   "--start", "yesterday", "--end", "2014-05-24"])
         assert excinfo.value.code == 2
         capsys.readouterr()
-
-
-# YYYY-MM-DD in ASCII digits is the only date form; Python 3.11's date.fromisoformat
-# also takes the first three
-NOT_YYYY_MM_DD = ["20140525", "2014-W21-7", "2014W217", "2014-5-25",
-                  "\u0662\u0660\u0661\u0664-05-25"]
-
-
-class TestStrictDates:
-    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
-    @pytest.mark.parametrize("kind,column", [("parties", "election_date"),
-                                             ("pageviews", "date")])
-    def test_csv_date_exits_3_naming_line_and_column(self, tmp_path, capsys, kind, column,
-                                                    text):
-        header, good, argv = INPUT_KINDS[kind]
-        path = tmp_path / f"{kind}.csv"
-        bad = re.sub(r"\d{4}-\d{2}-\d{2}", lambda _: text, good)
-        path.write_text(header + good + bad, encoding="utf-8")
-        code = main(argv(str(path)))
-        what = "party" if kind == "parties" else "page-view"
-        assert code == 3
-        assert capsys.readouterr().err == (
-            f"wikivote: line 3: malformed {what} row: {column}: "
-            f"not a YYYY-MM-DD date: {text!r}\n")
-
-    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
-    @pytest.mark.parametrize("argv", [
-        ["attention", "--pageviews", GENERAL, "--election-date"],
-        ["ingest", "--project", "aa.wikipedia", "--title", "X", "--end", "2014-05-24",
-         "--start"],
-    ], ids=["election-date", "start"])
-    def test_date_option_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, text):
-        monkeypatch.chdir(tmp_path)  # attention defaults to ./wikivote-out
-        with pytest.raises(SystemExit) as excinfo:
-            main([*argv, text])
-        assert excinfo.value.code == 2
-        assert f"not a YYYY-MM-DD date: {text!r}" in capsys.readouterr().err
 
 
 class TestWindowDays:
@@ -810,12 +817,15 @@ def run(argv) -> tuple[int, str]:
 
 
 def with_acceptance_forms(test):
-    """The test, with the forms the acceptance criteria name as explicit examples."""
+    """The test, with the forms the acceptance criteria name and every fixed
+    non-YYYY-MM-DD date form (Python 3.11's date.fromisoformat takes the first
+    three) as explicit examples."""
     for integer, decimal, day, flag in zip(
-            ("1_010", " 7 ", "\u0661\u0660", "+5"),
-            (" 2_9.0 ", "\u0662\u0665.8", "+5", "1_0e-3"),
-            ("20140525", "2014-W21-7", " 2014-05-25", "\u0662\u0660\u0661\u0664-05-25"),
-            ("true", "2", " 1", "\u0661")):
+            ("1_010", " 7 ", "\u0661\u0660", "+5", "0_0", "\t12"),
+            (" 2_9.0 ", "\u0662\u0665.8", "+5", "1_0e-3", "\t.5", "1_0"),
+            ("20140525", "2014-W21-7", "2014W217", "2014-5-25",
+             "\u0662\u0660\u0661\u0664-05-25", " 2014-05-25"),
+            ("true", "2", " 1", "\u0661", "no", "+1")):
         test = example(integer=integer, decimal=decimal, day=day, flag=flag)(test)
     return test
 

@@ -22,6 +22,7 @@ from wikivote.errors import (
 from wikivote.ingest import (
     BASE_URL_ENV_VAR,
     MAX_IN_FLIGHT,
+    MAX_RETRY_LIMIT,
     TURNOUT_SCHEMA,
     USER_AGENT,
     FetchPolicy,
@@ -252,6 +253,12 @@ class TestFetchMany:
         for value in (0, MAX_IN_FLIGHT + 1):
             with pytest.raises(ValueError, match=f"from 1 to {MAX_IN_FLIGHT}, got {value}"):
                 FetchPolicy(max_in_flight=value)
+
+    def test_retry_limit_is_capped(self):
+        assert FetchPolicy(retry_limit=MAX_RETRY_LIMIT).retry_limit == MAX_RETRY_LIMIT
+        for value in (-1, MAX_RETRY_LIMIT + 1):
+            with pytest.raises(ValueError, match=f"from 0 to {MAX_RETRY_LIMIT}, got {value}"):
+                FetchPolicy(retry_limit=value)
 
 
 class TestPageviewsCsv:

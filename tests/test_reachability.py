@@ -24,10 +24,7 @@ SRC = ROOT / "src" / "wikivote"
 IDENTIFIER = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 # name: why it stays although no command reaches it
-KEEP = {
-    "regularized_incomplete_beta": "its unit tests are the only direct check of the "
-                                   "continued fraction at general (a, b)",
-}
+KEEP: dict[str, str] = {}
 
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
