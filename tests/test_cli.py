@@ -556,6 +556,43 @@ class TestIngestCommand:
         capsys.readouterr()
 
 
+# YYYY-MM-DD in ASCII digits is the only date form; Python 3.11's date.fromisoformat
+# also takes the first three
+NOT_YYYY_MM_DD = ["20140525", "2014-W21-7", "2014W217", "2014-5-25",
+                  "\u0662\u0660\u0661\u0664-05-25"]
+
+
+class TestStrictDates:
+    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+    @pytest.mark.parametrize("kind,column", [("parties", "election_date"),
+                                             ("pageviews", "date")])
+    def test_csv_date_exits_3_naming_line_and_column(self, tmp_path, capsys, kind, column,
+                                                    text):
+        header, good, argv = INPUT_KINDS[kind]
+        path = tmp_path / f"{kind}.csv"
+        bad = re.sub(r"\d{4}-\d{2}-\d{2}", lambda _: text, good)
+        path.write_text(header + good + bad, encoding="utf-8")
+        code = main(argv(str(path)))
+        what = "party" if kind == "parties" else "page-view"
+        assert code == 3
+        assert capsys.readouterr().err == (
+            f"wikivote: line 3: malformed {what} row: {column}: "
+            f"not a YYYY-MM-DD date: {text!r}\n")
+
+    @pytest.mark.parametrize("text", NOT_YYYY_MM_DD)
+    @pytest.mark.parametrize("argv", [
+        ["attention", "--pageviews", GENERAL, "--election-date"],
+        ["ingest", "--project", "aa.wikipedia", "--title", "X", "--end", "2014-05-24",
+         "--start"],
+    ], ids=["election-date", "start"])
+    def test_date_option_is_usage_error(self, tmp_path, capsys, monkeypatch, argv, text):
+        monkeypatch.chdir(tmp_path)  # attention defaults to ./wikivote-out
+        with pytest.raises(SystemExit) as excinfo:
+            main([*argv, text])
+        assert excinfo.value.code == 2
+        assert f"not a YYYY-MM-DD date: {text!r}" in capsys.readouterr().err
+
+
 class TestWindowDays:
     @pytest.mark.parametrize("value", ["0", "-3", "seven"])
     @pytest.mark.parametrize("command", [
