@@ -46,30 +46,33 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 @contextmanager
-def _run(output_dir: Path, command: str, config: dict):
-    """Yield (files, errors) to a command that writes into output_dir.
+def _run(args):
+    """Yield (files, errors) to the command of args, which writes into args.output_dir.
 
     The block fills files with {name: text} and adds to errors each failure it
     got past. When it ends, the files are written in order, then the manifest.
     If the block or a write raises, only the manifest is written: status
     "error", no outputs, and the errors collected or else the exception's
     message. So a failed run never leaves an earlier run's manifest behind.
+    The manifest's config is every option but --output-dir, dates as YYYY-MM-DD.
     """
+    config = {key: value.isoformat() if isinstance(value, date) else value
+              for key, value in vars(args).items() if key not in ("command", "func", "output_dir")}
     files: dict[str, str] = {}
     errors: list[str] = []
     status = "error"
     try:
         yield files, errors
         for name, text in files.items():
-            _atomic_write(output_dir / name, text)
+            _atomic_write(Path(args.output_dir, name), text)
         status = "ok"
     except Exception as exc:
         errors = errors or [str(exc)]
         raise
     finally:
-        manifest = {"command": command, "config": config, "status": status,
+        manifest = {"command": args.command, "config": config, "status": status,
                     "outputs": list(files) if status == "ok" else [], "errors": errors}
-        _atomic_write(output_dir / "manifest.json", json.dumps(manifest, indent=2) + "\n")
+        _atomic_write(Path(args.output_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -87,11 +90,11 @@ def _load_features(args) -> list[feats.FeatureRow]:
     return feats.build_feature_rows(dataset, sums)
 
 
-def _parse_models(text: str, parser: argparse.ArgumentParser) -> list[str]:
+def _model_ids(text: str) -> list[str]:
     ids = [part.strip() for part in text.split(",") if part.strip()]
     bad = [m for m in ids if m not in forecast.MODEL_IDS]
     if bad or not ids:
-        parser.error(
+        raise argparse.ArgumentTypeError(
             f"unknown model id(s) {', '.join(bad) or '(none given)'}; "
             f"valid ids: {', '.join(forecast.MODEL_IDS)}"
         )
@@ -144,10 +147,8 @@ def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
 def cmd_ingest(args, parser) -> int:
     if bool(args.project) != bool(args.title):
         parser.error("give --project and --title together")
-    pages: list[tuple[str, str]] = []
-    if args.pages:
-        table = ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list", key=2)
-        pages = [(project, title) for _, (project, title) in table]
+    pages = (ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list", tuple, key=2)
+             if args.pages else [])
     if args.project and (args.project, args.title) not in pages:
         pages.append((args.project, args.title))
     if not pages:
@@ -183,20 +184,11 @@ def cmd_features(args, parser) -> int:
 
 
 def cmd_fit(args, parser) -> int:
-    model_ids = _parse_models(args.models, parser)
-    config = {
-        "models": model_ids,
-        "dataset": str(args.dataset),
-        "pageviews": str(args.pageviews),
-        "format": args.format,
-        "sides": args.sides,
-        "window_days": args.window_days,
-    }
-    with _run(Path(args.output_dir), "fit", config) as (files, _):
+    with _run(args) as (files, _):
         rows = _load_features(args)
         reports = [
             forecast.fit_model(rows, forecast.ModelSpec.from_id(mid), sides=args.sides)
-            for mid in model_ids
+            for mid in args.models
         ]
         docs = [report.to_json_dict() for report in reports]
         for report, doc in zip(reports, docs):
@@ -215,7 +207,7 @@ def cmd_fit(args, parser) -> int:
 def cmd_predict(args, parser) -> int:
     training = _load_features(args)
     spec = forecast.ModelSpec.from_id(args.model)
-    report = forecast.fit_model(training, spec, sides=args.sides)
+    report = forecast.fit_model(training, spec)
     scenario = ingest.load_scenario_csv(args.scenario)
 
     training_range = {
@@ -297,12 +289,7 @@ def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
 
 
 def cmd_attention(args, parser) -> int:
-    config = {
-        "pageviews": str(args.pageviews),
-        "election_date": args.election_date.isoformat(),
-        "window_days": args.window_days,
-    }
-    with _run(Path(args.output_dir), "attention", config) as (files, errors):
+    with _run(args) as (files, errors):
         series_list = ingest.load_pageviews_csv(args.pageviews)
         dynamics: list[dict] = []
         for series in series_list:
@@ -319,7 +306,7 @@ def cmd_attention(args, parser) -> int:
                 dynamics.append({"series_id": series_id, "status": "error", "error": str(exc)})
                 errors.append(str(exc))
         if series_list and len(errors) == len(series_list):
-            raise DataError("attention analysis failed for every series")
+            raise DataError(f"attention analysis failed for every series; first: {errors[0]}")
         files["attention_dynamics.json"] = json.dumps(dynamics, indent=2) + "\n"
         files["attention_series.csv"] = _render_attention_series(series_list)
     print(f"attention: {len(series_list) - len(errors)} series analysed, {len(errors)} failed",
@@ -328,12 +315,7 @@ def cmd_attention(args, parser) -> int:
 
 
 def cmd_report(args, parser) -> int:
-    config = {
-        "dataset": str(args.dataset),
-        "pageviews": str(args.pageviews),
-        "window_days": args.window_days,
-    }
-    with _run(Path(args.output_dir), "report", config) as (files, _):
+    with _run(args) as (files, _):
         rows = _load_features(args)
         files["report_shares.csv"] = ingest.render_csv(
             ["country", "election_date", "party_id", "wiki_share", "news_share", "vote_share"],
@@ -400,7 +382,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--retry-limit", type=ingest.ascii_int, default=fetch.retry_limit,
                           help=f"retries per page, 0 to {ingest.MAX_RETRY_LIMIT} "
                                "(default %(default)s)")
-    p_ingest.add_argument("--backoff-base", type=ingest.ascii_float, default=fetch.backoff_base)
+    p_ingest.add_argument("--backoff-base", type=ingest.ascii_float, default=fetch.backoff_base,
+                          help=f"seconds, 0 to {ingest.MAX_BACKOFF_BASE} (default %(default)s)")
     p_ingest.add_argument("--out", help="output CSV path (default stdout)")
     p_ingest.set_defaults(func=cmd_ingest)
 
@@ -417,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit model specifications and write reports")
     add_feature_inputs(p_fit)
-    p_fit.add_argument("--models", default=",".join(forecast.MODEL_IDS),
+    p_fit.add_argument("--models", type=_model_ids, default=",".join(forecast.MODEL_IDS),
                        help="comma-separated model ids")
     p_fit.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_fit.add_argument("--sides", choices=["two", "one"], default="two")
@@ -428,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_feature_inputs(p_predict)
     p_predict.add_argument("--model", default="1.1", help="model id to fit and apply")
     p_predict.add_argument("--scenario", required=True, help="scenario CSV")
-    p_predict.add_argument("--sides", choices=["two", "one"], default="two")
     p_predict.add_argument("--out", help="output CSV path (default stdout)")
     p_predict.set_defaults(func=cmd_predict)
 

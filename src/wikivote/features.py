@@ -51,12 +51,21 @@ class WindowViews(NamedTuple):
     window_days: int
 
 
+def calendar_window(series: PageViewSeries, center: date, first: int, last: int):
+    """The days center + first and center + last, or a ComputationError naming
+    the series when either leaves the calendar."""
+    try:
+        return center + timedelta(days=first), center + timedelta(days=last)
+    except OverflowError:
+        raise ComputationError(f"{series.wiki_project}/{series.page_title}: window {center} "
+                               f"{first:+d} to {last:+d} days leaves the calendar") from None
+
+
 def window_views(
     series: PageViewSeries, election_date: date, window_days: int = WINDOW_DAYS
 ) -> WindowViews:
     """Sum views over the window_days days ending the day before the election."""
-    start = election_date - timedelta(days=window_days)
-    end = election_date - timedelta(days=1)
+    start, end = calendar_window(series, election_date, -window_days, -1)
     lo = bisect_left(series.days, start)
     hi = bisect_right(series.days, end, lo)
     if lo == hi:

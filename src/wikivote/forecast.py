@@ -12,12 +12,12 @@ import warnings
 from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from datetime import date, timedelta
+from datetime import date
 
 import numpy as np
 
 from .errors import ComputationError, CurationWarning
-from .features import FeatureRow, relative_change, subset_small
+from .features import FeatureRow, calendar_window, relative_change, subset_small
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
 from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson, qr_least_squares
@@ -273,8 +273,7 @@ def attention_dynamics(
     break to the earliest date). Each side is fitted log-linearly over
     window_days days, skipping zero-count days rather than imputing.
     """
-    window_start = election_date - timedelta(days=window_days)
-    window_end = election_date + timedelta(days=window_days)
+    window_start, window_end = calendar_window(series, election_date, -window_days, window_days)
     days, counts = series.days, series.counts
     lo = bisect_left(days, window_start)
     hi = bisect_right(days, window_end, lo)
@@ -293,8 +292,9 @@ def attention_dynamics(
         )
 
     # fit windows hang off the peak, not the search window
-    up = bisect_left(days, peak_date - timedelta(days=window_days), 0, peak)
-    down = bisect_right(days, peak_date + timedelta(days=window_days), peak)
+    fit_start, fit_end = calendar_window(series, peak_date, -window_days, window_days)
+    up = bisect_left(days, fit_start, 0, peak)
+    down = bisect_right(days, fit_end, peak)
     up_slope, up_r2 = _log_linear_rate(days[up:peak], counts[up:peak], peak_date)
     down_slope, down_r2 = _log_linear_rate(days[peak + 1:down], counts[peak + 1:down], peak_date)
     return AttentionDynamics(

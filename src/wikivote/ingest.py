@@ -6,9 +6,9 @@ are absent from a series, never zero-filled; window operations decide their
 own missing-data policy. Every CSV input (parties, page views, turnout
 records, scenarios, page lists) is read against a schema through _table,
 the one csv.reader: read_table converts the cells of each row through the
-schema and rejects a repeated row key, and the page-view loader walks the
-reader itself and converts its own cells into columns, since that file is by
-far the largest input.
+schema, rejects a repeated row key and makes the row's record, and the
+page-view loader walks the reader itself and converts its own cells into
+columns, since that file is by far the largest input.
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ MAX_IN_FLIGHT = 16
 # the most retries FetchPolicy allows per page: the wait doubles each time, so ten
 # at the default backoff_base already wait 0.5 * (2**10 - 1) s, about 8.5 minutes
 MAX_RETRY_LIMIT = 10
+# the longest first retry wait: with MAX_RETRY_LIMIT, a page waits 10 * (2**10 - 1) s, ~2.8 h
+MAX_BACKOFF_BASE = 10.0
 USER_AGENT = "wikivote/0.1 (page-view research client)"
 
 
@@ -135,8 +137,9 @@ class FetchPolicy:
         if not 0 <= self.retry_limit <= MAX_RETRY_LIMIT:
             raise ValueError(
                 f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got {self.retry_limit}")
-        if not (math.isfinite(self.backoff_base) and self.backoff_base >= 0):
-            raise ValueError(f"backoff_base must be a finite number >= 0, got {self.backoff_base}")
+        if not 0 <= self.backoff_base <= MAX_BACKOFF_BASE:  # nan compares false: rejected too
+            raise ValueError(f"backoff_base must be a finite number >= 0 and at most "
+                             f"{MAX_BACKOFF_BASE}, got {self.backoff_base}")
 
 
 def fetch_pageviews(
@@ -373,15 +376,17 @@ def _convert_cells(line: int, cells, schema, what: str) -> list:
     return values
 
 
-def read_table(path, schema, what: str, key: int = 0):
-    """Yield (line, values) for every non-blank data row of the CSV at path.
+def read_table(path, schema, what: str, record, key: int = 0) -> list:
+    """The record(values) of every non-blank data row of the CSV at path.
 
     The checks of _table, plus a short row raising RowError with its line.
     Values come in schema order, each cell passed through its column's
     converter, and a cell its converter rejects raises RowError with its line
-    and column. The first `key` values form the row's key: a row that repeats
-    an earlier row's key raises RowError naming the key as a/b/c and both lines.
+    and column, as does a ValidationError raised by record. The first `key`
+    values form the row's key: a row that repeats an earlier row's key raises
+    RowError naming the key as a/b/c and both lines.
     """
+    records = []
     first_lines: dict[tuple, int] = {}
     with _table(path, schema, what) as (reader, indices):
         # a tuple, as every schema has 2+ columns; IndexError on a blank or short row
@@ -400,7 +405,11 @@ def read_table(path, schema, what: str, key: int = 0):
                 if first != line:
                     label = "/".join(map(str, values[:key]))
                     raise RowError(line, f"duplicate {what} row {label} (first on line {first})")
-            yield line, values
+            try:
+                records.append(record(values))
+            except ValidationError as exc:
+                raise RowError(line, f"malformed {what} row: {exc}") from exc
+    return records
 
 
 def render_csv(header, rows) -> str:
@@ -508,24 +517,12 @@ def load_party_csv(path) -> list[PartyObservation]:
 
     A repeated (country, election_date, party_id) fails on its second line.
     """
-    rows: list[PartyObservation] = []
-    for line, values in read_table(path, PARTY_SCHEMA, "party", key=3):
-        try:
-            rows.append(PartyObservation(*values))
-        except ValidationError as exc:
-            raise RowError(line, f"malformed party row: {exc}") from exc
-    return rows
+    return read_table(path, PARTY_SCHEMA, "party", lambda values: PartyObservation(*values), key=3)
 
 
 def load_turnout_csv(path) -> list[TurnoutRecord]:
     """Load one turnout record per language edition (strict parsing)."""
-    records: list[TurnoutRecord] = []
-    for line, values in read_table(path, TURNOUT_SCHEMA, "turnout", key=1):
-        try:
-            records.append(TurnoutRecord(*values))
-        except ValueError as exc:
-            raise RowError(line, f"malformed turnout row: {exc}") from exc
-    return records
+    return read_table(path, TURNOUT_SCHEMA, "turnout", lambda values: TurnoutRecord(*values), key=1)
 
 
 class ScenarioRow(NamedTuple):
@@ -540,4 +537,4 @@ class ScenarioRow(NamedTuple):
 
 def load_scenario_csv(path) -> list[ScenarioRow]:
     """Load the scenario rows `predict` applies a fitted model to."""
-    return [ScenarioRow(*values) for _, values in read_table(path, SCENARIO_SCHEMA, "scenario")]
+    return read_table(path, SCENARIO_SCHEMA, "scenario", ScenarioRow._make)

@@ -115,12 +115,12 @@ class TurnoutRecord:
 
     def __post_init__(self):
         if self.views_prev <= 0:
-            raise ValueError(f"{self.language_edition}: views_prev must be positive")
+            raise ValidationError(f"{self.language_edition}: views_prev must be positive")
         if self.views_curr < 0:
-            raise ValueError(f"{self.language_edition}: views_curr must be non-negative")
+            raise ValidationError(f"{self.language_edition}: views_curr must be non-negative")
         for label, value in (("turnout_prev", self.turnout_prev), ("turnout_curr", self.turnout_curr)):
             if not 0.0 < value <= 100.0:
-                raise ValueError(f"{self.language_edition}: {label} {value} outside (0, 100]")
+                raise ValidationError(f"{self.language_edition}: {label} {value} outside (0, 100]")
 
 
 def validate_dataset(raw_rows) -> Dataset:

@@ -15,8 +15,8 @@ from hypothesis import strategies as st
 
 from conftest import DATA_DIR, pageview_payload
 from wikivote.cli import main
-from wikivote.ingest import (MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy, PageViewSeries,
-                             render_pageviews_csv)
+from wikivote.ingest import (MAX_BACKOFF_BASE, MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy,
+                             PageViewSeries, render_pageviews_csv)
 
 PARTIES = str(DATA_DIR / "demo_parties.csv")
 PAGEVIEWS = str(DATA_DIR / "demo_pageviews.csv")
@@ -405,6 +405,40 @@ class TestReportCommand:
         assert capsys.readouterr().err == "wikivote: need at least 3 observations, got 0\n"
 
 
+class TestOptionErrors:
+    @pytest.mark.parametrize("argv,message", [
+        (fit_args("out", models="9.9"), "wikivote fit: error: argument --models: unknown model "
+         "id(s) 9.9; valid ids: 1.0, 1.1, 1.2, 1.3, 2.0, 2.1, 2.2, 2.3\n"),
+        (fit_args("out", models=","), "argument --models: unknown model id(s) (none given)"),
+        # predict uses only the fit's coefficients, so it takes no --sides
+        (["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--scenario", "s.csv",
+          "--sides", "one"], "wikivote: error: unrecognized arguments: --sides one\n"),
+    ], ids=["fit-unknown-model", "fit-no-model", "predict-sides"])
+    def test_usage_error_names_the_option(self, argv, message):
+        code, err = run(argv)
+        assert code == 2
+        assert message in err
+
+
+class TestManifest:
+    @pytest.mark.parametrize("argv,config", [
+        (["fit", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--models", "1.0,2.1"],
+         {"dataset": PARTIES, "pageviews": PAGEVIEWS, "window_days": 7,
+          "models": ["1.0", "2.1"], "format": "text", "sides": "two"}),
+        (["attention", "--pageviews", GENERAL, "--election-date", "2014-05-25"],
+         {"pageviews": GENERAL, "election_date": "2014-05-25", "window_days": 30}),
+        (["report", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days", "6"],
+         {"dataset": PARTIES, "pageviews": PAGEVIEWS, "window_days": 6}),
+    ], ids=["fit", "attention", "report"])
+    def test_config_is_every_option_but_the_output_dir(self, tmp_path, capsys, argv, config):
+        assert main([*argv, "--output-dir", str(tmp_path)]) == 0
+        capsys.readouterr()
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == argv[0]
+        # in parser order, the order the manifest's bytes depend on
+        assert list(manifest["config"].items()) == list(config.items())
+
+
 class TestFailedRun:
     """A failed fit, report or attention run replaces the manifest an earlier
     successful run left in its output directory."""
@@ -442,7 +476,7 @@ class TestIngestCommand:
         assert code == 4
         assert "Unity Party" in err
 
-    @pytest.mark.parametrize("base", ["-1", "nan", "inf"])
+    @pytest.mark.parametrize("base", ["-1", "nan", "inf", "1e9", "1e300"])
     @responses.activate
     def test_bad_backoff_base_is_usage_error_before_any_request(self, capsys, base):
         code = main([
@@ -485,6 +519,7 @@ class TestIngestCommand:
         policy = FetchPolicy()
         assert f"1 to {MAX_IN_FLIGHT} (default {policy.max_in_flight})" in text
         assert f"0 to {MAX_RETRY_LIMIT} (default {policy.retry_limit})" in text
+        assert f"0 to {MAX_BACKOFF_BASE} (default {policy.backoff_base})" in text
 
     @pytest.mark.parametrize("given", [["--project", "aa.wikipedia"], ["--title", "X"]],
                              ids=["project", "title"])
@@ -608,6 +643,31 @@ class TestWindowDays:
             main([*command, "--window-days", value])
         assert excinfo.value.code == 2
         assert "--window-days" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv,window", [
+        (["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days", "800000"],
+         "ar.wikipedia/Unity Party (Arcadia): window 2009-06-07 -800000 to -1 days"),
+        (["attention", "--pageviews", GENERAL, "--election-date", "0001-01-02"],
+         "lang01.wikipedia/Parliament election: window 0001-01-02 -30 to +30 days"),
+        (["attention", "--pageviews", GENERAL, "--election-date", "2014-05-25",
+          "--window-days", "99999999999"],
+         "lang01.wikipedia/Parliament election: window 2014-05-25 -99999999999 to +99999999999 "
+         "days"),
+        (["features", "--dataset", "early.csv", "--pageviews", PAGEVIEWS],
+         "ar.wikipedia/Unity Party (Arcadia): window 0001-01-03 -7 to -1 days"),
+    ], ids=["features-window-days", "attention-election-date", "attention-window-days",
+            "party-election-date"])
+    def test_window_leaving_the_calendar_is_data_error(self, tmp_path, monkeypatch, argv, window):
+        monkeypatch.chdir(tmp_path)  # attention defaults to ./wikivote-out
+        # every 2009-06-07 group moved to the third day of the calendar
+        text = (DATA_DIR / "demo_parties.csv").read_text()
+        (tmp_path / "early.csv").write_text(text.replace(",2009-06-07,", ",0001-01-03,"))
+        code, err = run(argv)
+        assert code == 3
+        # attention fails each series on its own, then names the first
+        if argv[0] == "attention":
+            window = f"attention analysis failed for every series; first: {window}"
+        assert err == f"wikivote: {window} leaves the calendar\n"
 
 
 # file kind -> (header, a valid row, argv that reads the file at the given path)

@@ -9,7 +9,7 @@ import pytest
 
 from conftest import DATA_DIR
 from wikivote.ingest import load_turnout_csv
-from wikivote.errors import ComputationError, CurationWarning
+from wikivote.errors import ComputationError, CurationWarning, ValidationError
 from wikivote.features import FeatureRow, subset_small
 from wikivote.forecast import (
     BASE_TERMS,
@@ -287,9 +287,9 @@ class TestTurnoutAnalysis:
         )
 
     def test_record_validation(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             turnout_record("x", 0, 100, 50.0, 50.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValidationError):
             turnout_record("x", 100, 100, 0.0, 50.0)
         # no records at all is the general "at least 3" rule, a data error
         with pytest.raises(ComputationError, match="at least 3 non-outlier records, got 0"):
@@ -354,6 +354,14 @@ class TestAttentionDynamics:
         series = PageViewSeries("aa.wikipedia", "X", daily)
         with pytest.raises(ComputationError, match="positive-count"):
             attention_dynamics(series, ELECTION, window_days=8)
+
+    def test_peak_fit_window_leaving_the_calendar_names_the_series(self):
+        # the search window around 0001-02-10 fits the calendar; the peak's fit window does not
+        series = exponential_series(0.12, 0.35, peak=date(1, 1, 20), span=19)
+        with pytest.raises(ComputationError, match=(
+                r"^aa.wikipedia/Parliament election: window 0001-01-20 -30 to \+30 days "
+                r"leaves the calendar$")):
+            attention_dynamics(series, date(1, 2, 10))
 
     def test_zero_days_are_dropped_not_logged(self):
         series = exponential_series(0.12, 0.35)

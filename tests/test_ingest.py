@@ -498,9 +498,9 @@ class TestReadTable:
             "\n"
             "0,,61.0,60.0,90,80,lang02\n"
         )
-        assert list(read_table(path, TURNOUT_SCHEMA, "turnout")) == [
-            (2, ["lang01", 100, 120, 50.0, 51.0, True]),
-            (4, ["lang02", 80, 90, 60.0, 61.0, False]),
+        assert read_table(path, TURNOUT_SCHEMA, "turnout", tuple) == [
+            ("lang01", 100, 120, 50.0, 51.0, True),
+            ("lang02", 80, 90, 60.0, 61.0, False),
         ]
 
     def test_rejected_cell_names_line_and_column(self, tmp_path):
@@ -510,7 +510,7 @@ class TestReadTable:
             "lang01,100,120,50.0,51.0,true\n"
         )
         with pytest.raises(RowError, match="line 2: malformed turnout row: outlier: "):
-            list(read_table(path, TURNOUT_SCHEMA, "turnout"))
+            read_table(path, TURNOUT_SCHEMA, "turnout", tuple)
 
     def test_csv_error_names_its_line(self, tmp_path):
         path = tmp_path / "t.csv"
@@ -521,7 +521,7 @@ class TestReadTable:
             f"{'x' * (csv.field_size_limit() + 1)},100,120,50.0,51.0,0\n"
         )
         with pytest.raises(RowError, match="^line 4: malformed turnout row: field larger than"):
-            list(read_table(path, TURNOUT_SCHEMA, "turnout"))
+            read_table(path, TURNOUT_SCHEMA, "turnout", tuple)
 
     def test_undecodable_byte_names_its_line_past_the_first_chunk(self, tmp_path):
         # the reader decodes in chunks of a few KiB; the line must count from the file start
@@ -532,7 +532,7 @@ class TestReadTable:
             + rows.encode() + b"Caf\xe9,100,120,50.0,51.0,0\n"
         )
         with pytest.raises(RowError, match=r"^line 2002: turnout file .* is not UTF-8"):
-            list(read_table(path, TURNOUT_SCHEMA, "turnout"))
+            read_table(path, TURNOUT_SCHEMA, "turnout", tuple)
 
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=200)
