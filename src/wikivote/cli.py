@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Subcommands: ingest, features, fit, predict, turnout, attention, report.
-Exit codes: 0 success, 2 usage, 3 data problem, 4 network problem.
+Exit codes, all picked by main: 0 success, 2 usage (from argparse alone, and
+before any input file is read), 3 data problem, 4 network problem.
 
 Data files are written atomically (temp + rename) and contain no timestamps,
 so identical inputs and config produce byte-identical outputs; run metadata
@@ -27,7 +28,6 @@ from .errors import DataError, NetworkError
 from .model import validate_dataset
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NETWORK = 4
 
@@ -144,23 +144,24 @@ def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
     )
 
 
-def cmd_ingest(args, parser) -> int:
+def cmd_ingest(args, parser) -> None:
     if bool(args.project) != bool(args.title):
         parser.error("give --project and --title together")
-    pages = (ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list", tuple, key=2)
-             if args.pages else [])
-    if args.project and (args.project, args.title) not in pages:
-        pages.append((args.project, args.title))
-    if not pages:
+    if not (args.project or args.pages):
         parser.error("give --project/--title or a --pages file")
     if args.start > args.end:
         parser.error(f"--start {args.start} is after --end {args.end}")
+    try:
+        policy = ingest.FetchPolicy(args.max_in_flight, args.retry_limit, args.backoff_base)
+    except ValueError as exc:
+        parser.error(str(exc))
+    pages = (ingest.read_table(args.pages, ingest.PAGES_SCHEMA, "page list", ingest.page_key,
+                               key=2) if args.pages else [])
+    if args.project and (args.project, args.title) not in pages:
+        pages.append((args.project, args.title))
+    if not pages:
+        raise DataError(f"page list {args.pages} names no page")
 
-    policy = ingest.FetchPolicy(
-        max_in_flight=args.max_in_flight,
-        retry_limit=args.retry_limit,
-        backoff_base=args.backoff_base,
-    )
     series, failures = ingest.fetch_many(pages, args.start, args.end, policy)
     for (project, title), exc in failures:
         print(f"ingest: {project}/{title}: {exc}", file=sys.stderr)
@@ -168,10 +169,9 @@ def cmd_ingest(args, parser) -> int:
         raise NetworkError("every page fetch failed")
 
     _emit(ingest.render_pageviews_csv(series), args.out)
-    return EXIT_OK
 
 
-def cmd_features(args, parser) -> int:
+def cmd_features(args) -> None:
     rows = _load_features(args)
     text = ingest.render_csv(feats.FEATURE_COLUMNS, (
         [row.party_id, row.country, row.election_date.isoformat(),
@@ -180,10 +180,9 @@ def cmd_features(args, parser) -> int:
         for row in rows
     ))
     _emit(text, args.out)
-    return EXIT_OK
 
 
-def cmd_fit(args, parser) -> int:
+def cmd_fit(args) -> None:
     with _run(args) as (files, _):
         rows = _load_features(args)
         reports = [
@@ -201,10 +200,9 @@ def cmd_fit(args, parser) -> int:
             files["fit_table.json"] = json.dumps(docs, indent=2) + "\n"
     if args.format == "text":
         sys.stdout.write(files["fit_table.txt"])
-    return EXIT_OK
 
 
-def cmd_predict(args, parser) -> int:
+def cmd_predict(args) -> None:
     training = _load_features(args)
     spec = forecast.ModelSpec.from_id(args.model)
     report = forecast.fit_model(training, spec)
@@ -218,20 +216,14 @@ def cmd_predict(args, parser) -> int:
 
     out_rows = []
     for row, value in zip(scenario, forecast.predict(report, scenario)):
-        flags = []
-        if not low <= value <= high:
-            flags.append("out_of_range")
-        for c in spec.covariates:
-            lo, hi = training_range[c]
-            if not lo <= getattr(row, c) <= hi:
-                flags.append("extrapolated")
-                break
+        flags = [] if low <= value <= high else ["out_of_range"]
+        if any(not lo <= getattr(row, c) <= hi for c, (lo, hi) in training_range.items()):
+            flags.append("extrapolated")
         out_rows.append([row.party_id, repr(value), ";".join(flags)])
     _emit(ingest.render_csv(["party_id", "predicted", "flags"], out_rows), args.out)
-    return EXIT_OK
 
 
-def cmd_turnout(args, parser) -> int:
+def cmd_turnout(args) -> None:
     records = ingest.load_turnout_csv(args.records)
     result = forecast.turnout_analysis(records, sides=args.sides)
     corr = result.correlation
@@ -243,7 +235,7 @@ def cmd_turnout(args, parser) -> int:
             "ratios": [asdict(ratio) for ratio in result.ratios],
         }
         _emit(json.dumps(doc, indent=2) + "\n", args.out)
-        return EXIT_OK
+        return
 
     lines = [
         "edition      views_change  turnout_change  outlier  studentized",
@@ -263,7 +255,6 @@ def cmd_turnout(args, parser) -> int:
     )
     lines.append(f"excluded outliers: {', '.join(excluded) if excluded else 'none'}")
     _emit("\n".join(lines) + "\n", args.out)
-    return EXIT_OK
 
 
 def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
@@ -288,7 +279,7 @@ def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
     return "".join(chunks)
 
 
-def cmd_attention(args, parser) -> int:
+def cmd_attention(args) -> None:
     with _run(args) as (files, errors):
         series_list = ingest.load_pageviews_csv(args.pageviews)
         dynamics: list[dict] = []
@@ -311,10 +302,9 @@ def cmd_attention(args, parser) -> int:
         files["attention_series.csv"] = _render_attention_series(series_list)
     print(f"attention: {len(series_list) - len(errors)} series analysed, {len(errors)} failed",
           file=sys.stderr)
-    return EXIT_OK
 
 
-def cmd_report(args, parser) -> int:
+def cmd_report(args) -> None:
     with _run(args) as (files, _):
         rows = _load_features(args)
         files["report_shares.csv"] = ingest.render_csv(
@@ -342,7 +332,6 @@ def cmd_report(args, parser) -> int:
               "new" if row.new_party else ("incumbent" if row.incumbent else "other")]
              for row in rows),
         )
-    return EXIT_OK
 
 
 def _positive_int(text: str) -> int:
@@ -385,7 +374,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ingest.add_argument("--backoff-base", type=ingest.ascii_float, default=fetch.backoff_base,
                           help=f"seconds, 0 to {ingest.MAX_BACKOFF_BASE} (default %(default)s)")
     p_ingest.add_argument("--out", help="output CSV path (default stdout)")
-    p_ingest.set_defaults(func=cmd_ingest)
+    # cmd_ingest reports the option rules argparse cannot express through ingest's own parser
+    p_ingest.set_defaults(func=lambda args: cmd_ingest(args, p_ingest))
 
     def add_feature_inputs(p):
         p.add_argument("--dataset", required=True, help="party dataset CSV")
@@ -409,7 +399,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict outcomes for scenario rows")
     add_feature_inputs(p_predict)
-    p_predict.add_argument("--model", default="1.1", help="model id to fit and apply")
+    p_predict.add_argument("--model", choices=forecast.MODEL_IDS, default="1.1",
+                           help="model id to fit and apply")
     p_predict.add_argument("--scenario", required=True, help="scenario CSV")
     p_predict.add_argument("--out", help="output CSV path (default stdout)")
     p_predict.set_defaults(func=cmd_predict)
@@ -438,19 +429,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args, parser)
-    except (DataError, OSError) as exc:
+        args.func(args)
+    except (DataError, OSError, NetworkError) as exc:
         print(f"wikivote: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except NetworkError as exc:
-        print(f"wikivote: {exc}", file=sys.stderr)
-        return EXIT_NETWORK
-    except ValueError as exc:
-        print(f"wikivote: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_NETWORK if isinstance(exc, NetworkError) else EXIT_DATA
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -163,8 +163,7 @@ def fetch_pageviews(
 
     if start > end:
         raise ValueError(f"start {start} is after end {end}")
-    if not title:
-        raise ValueError("title must be non-empty")
+    page_key((project, title))
     policy = policy or FetchPolicy()
     url = "{base}/{project}/all-access/all-agents/{title}/daily/{s}00/{e}00".format(
         base=(os.environ.get(BASE_URL_ENV_VAR) or DEFAULT_BASE_URL).rstrip("/"),
@@ -288,6 +287,13 @@ def ascii_float(text: str) -> float:
     return float(text)
 
 
+def _count(text: str) -> int:
+    """ascii_int up to 2**63 - 1, what array("q") holds; a negative is left to its record."""
+    if (value := ascii_int(text)) > 2**63 - 1:
+        raise ValueError(f"{value} is too large")
+    return value
+
+
 def _flag(text: str) -> bool:
     if text not in ("0", "1"):
         raise ValueError(f"must be 0 or 1, got {text!r}")
@@ -308,18 +314,18 @@ def _optional_float(text: str) -> float | None:
 # Each schema lists (column, converter) pairs in the order its loader consumes
 # the values; render_pageviews_csv takes its header from PAGEVIEWS_SCHEMA.
 PAGEVIEWS_SCHEMA = (
-    ("wiki_project", str), ("page_title", str), ("date", iso_date), ("views", ascii_int),
+    ("wiki_project", str), ("page_title", str), ("date", iso_date), ("views", _count),
 )
 PAGES_SCHEMA = PAGEVIEWS_SCHEMA[:2]
 PARTY_SCHEMA = (
     ("country", str), ("election_date", iso_date), ("party_id", str),
     ("name_english", str), ("name_local", str), ("abbreviation", str),
     ("is_new", _flag), ("is_incumbent", _flag), ("vote_share", _finite_float),
-    ("prev_vote_share", _optional_float), ("news_mentions", ascii_int),
+    ("prev_vote_share", _optional_float), ("news_mentions", _count),
     ("wiki_project", str), ("wiki_page_title", str),
 )
 TURNOUT_SCHEMA = (
-    ("language_edition", str), ("views_prev", ascii_int), ("views_curr", ascii_int),
+    ("language_edition", str), ("views_prev", _count), ("views_curr", _count),
     ("turnout_prev", _finite_float), ("turnout_curr", _finite_float), ("outlier", _flag),
 )
 SCENARIO_SCHEMA = (
@@ -412,6 +418,13 @@ def read_table(path, schema, what: str, record, key: int = 0) -> list:
     return records
 
 
+def page_key(values) -> tuple[str, str]:
+    """A page's (wiki_project, page_title), neither of them empty."""
+    if not all(values):
+        raise ValidationError("empty wiki_project or page_title")
+    return tuple(values)
+
+
 def render_csv(header, rows) -> str:
     """CSV text of a header row and the rows, each line ending in "\\n".
 
@@ -484,9 +497,10 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
                 seen.add(day)
             try:
                 add_count(views)
-            except OverflowError:
-                raise RowError(reader.line_num,
-                               f"malformed page-view row: views: {views} is too large") from None
+            except OverflowError:  # _count names the cell, as read_table would
+                _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
+                               PAGEVIEWS_SCHEMA, "page-view")
+                raise
             add_day(day)
     if days is not None:
         pages[project, title][2:] = latest, seen

@@ -413,7 +413,11 @@ class TestOptionErrors:
         # predict uses only the fit's coefficients, so it takes no --sides
         (["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--scenario", "s.csv",
           "--sides", "one"], "wikivote: error: unrecognized arguments: --sides one\n"),
-    ], ids=["fit-unknown-model", "fit-no-model", "predict-sides"])
+        # an unknown model is named before any input is read, here a missing one
+        (["predict", "--dataset", "/nonexistent.csv", "--pageviews", PAGEVIEWS,
+          "--scenario", "s.csv", "--model", "9.9"],
+         "wikivote predict: error: argument --model: invalid choice: '9.9'"),
+    ], ids=["fit-unknown-model", "fit-no-model", "predict-sides", "predict-unknown-model"])
     def test_usage_error_names_the_option(self, argv, message):
         code, err = run(argv)
         assert code == 2
@@ -464,6 +468,9 @@ class TestFailedRun:
         assert len(manifest["errors"]) == 1 and str(missing) in manifest["errors"][0]
 
 
+EMPTY_PAGE_CELL = "malformed page list row: empty wiki_project or page_title"
+
+
 class TestIngestCommand:
     def test_unreachable_endpoint_is_network_error(self, monkeypatch, capsys):
         monkeypatch.setenv("WIKIVOTE_PAGEVIEWS_BASE_URL", "http://127.0.0.1:9/views")
@@ -478,37 +485,48 @@ class TestIngestCommand:
 
     @pytest.mark.parametrize("base", ["-1", "nan", "inf", "1e9", "1e300"])
     @responses.activate
-    def test_bad_backoff_base_is_usage_error_before_any_request(self, capsys, base):
-        code = main([
+    def test_bad_backoff_base_is_usage_error_before_any_request(self, base):
+        code, err = run([
             "ingest", "--project", "aa.wikipedia", "--title", "Unity Party",
             "--start", "2014-05-18", "--end", "2014-05-24", "--backoff-base", base,
         ])
         assert code == 2
-        assert "backoff_base must be a finite number >= 0" in capsys.readouterr().err
+        assert "backoff_base must be a finite number >= 0" in err
         assert len(responses.calls) == 0
 
     @pytest.mark.parametrize("value", ["0", str(MAX_IN_FLIGHT + 1)])
     @responses.activate
-    def test_max_in_flight_out_of_range_is_usage_error_before_any_request(self, capsys, value):
-        code = main([
+    def test_max_in_flight_out_of_range_is_usage_error_before_any_request(self, value):
+        code, err = run([
             "ingest", "--project", "aa.wikipedia", "--title", "Unity Party",
             "--start", "2014-05-18", "--end", "2014-05-24", "--max-in-flight", value,
         ])
         assert code == 2
-        assert f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}, got {value}" in (
-            capsys.readouterr().err)
+        assert f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}, got {value}" in err
         assert len(responses.calls) == 0
 
     @pytest.mark.parametrize("value", [str(MAX_RETRY_LIMIT + 1), "99999999999999999999"])
     @responses.activate
-    def test_retry_limit_above_the_bound_is_usage_error_before_any_request(self, capsys, value):
-        code = main([
+    def test_retry_limit_above_the_bound_is_usage_error_before_any_request(self, value):
+        code, err = run([
             "ingest", "--project", "aa.wikipedia", "--title", "Unity Party",
             "--start", "2014-05-18", "--end", "2014-05-24", "--retry-limit", value,
         ])
         assert code == 2
-        assert f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got {value}" in (
-            capsys.readouterr().err)
+        assert f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got {value}" in err
+        assert len(responses.calls) == 0
+
+    @pytest.mark.parametrize("argv,message", [
+        (["--start", "2014-05-18", "--end", "2014-05-24", "--retry-limit", "11"],
+         f"wikivote ingest: error: retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got 11\n"),
+        (["--start", "2014-05-24", "--end", "2014-05-18"],
+         "wikivote ingest: error: --start 2014-05-24 is after --end 2014-05-18\n"),
+    ], ids=["retry-limit", "start-after-end"])
+    @responses.activate
+    def test_usage_error_comes_before_the_page_list_is_read(self, tmp_path, argv, message):
+        code, err = run(["ingest", "--pages", str(tmp_path / "absent.csv"), *argv])
+        assert code == 2
+        assert message in err
         assert len(responses.calls) == 0
 
     def test_help_states_bounds_and_defaults(self, capsys):
@@ -566,6 +584,21 @@ class TestIngestCommand:
         assert code == 3
         assert capsys.readouterr().err == (
             "wikivote: line 4: duplicate page list row aa.wikipedia/A (first on line 2)\n")
+        assert len(responses.calls) == 0
+
+    @pytest.mark.parametrize("rows,message", [
+        ("aa.wikipedia,A\n,A\n", f"line 3: {EMPTY_PAGE_CELL}"),
+        ("aa.wikipedia,A\naa.wikipedia,\n", f"line 3: {EMPTY_PAGE_CELL}"),
+        ("", "page list {} names no page"),
+    ], ids=["empty-project", "empty-title", "no-rows"])
+    @responses.activate
+    def test_page_list_without_a_page_is_data_error_before_any_request(self, tmp_path, rows,
+                                                                       message):
+        pages = tmp_path / "pages.csv"
+        pages.write_text(f"wiki_project,page_title\n{rows}")
+        code, err = run(["ingest", "--pages", str(pages), "--start", "2014-05-18",
+                         "--end", "2014-05-24"])
+        assert (code, err) == (3, f"wikivote: {message.format(pages)}\n")
         assert len(responses.calls) == 0
 
     def test_start_after_end_is_usage_error(self, capsys):
@@ -945,6 +978,7 @@ def drawn_cell(column, integer, decimal, day, flag) -> tuple[str, str]:
         return decimal, f"not a decimal of ASCII digits: {decimal!r}"
     assert int(integer) >= 0
     return integer, f"not an integer of ASCII digits: {integer!r}"
+BIG = 10**400  # 401 digits: no float holds it
 INGEST = ["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
           "--end", "2014-05-24"]
 
@@ -1009,6 +1043,17 @@ class TestStrictIntegers:
          "p2: negative news_mentions"),
         ("turnout", "lang02,-100,120,50.0,51.0,0\n", "views_prev must be positive"),
         ("turnout", "lang02,100,-5,50.0,51.0,0\n", "views_curr must be non-negative"),
+        # a count beyond 2**63 - 1 is named by its column, as a malformed cell is
+        pytest.param("parties",
+                     f"Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,15.0,{BIG},aa.wikipedia,B\n",
+                     f"malformed party row: news_mentions: {BIG} is too large",
+                     id="news_mentions-too-large"),
+        pytest.param("turnout", f"lang02,{BIG},120,50.0,51.0,0\n",
+                     f"malformed turnout row: views_prev: {BIG} is too large",
+                     id="views_prev-too-large"),
+        pytest.param("turnout", f"lang02,100,{BIG},50.0,51.0,0\n",
+                     f"malformed turnout row: views_curr: {BIG} is too large",
+                     id="views_curr-too-large"),
     ])
     def test_negative_cell_keeps_its_own_message(self, tmp_path, kind, row, fragment):
         header, good, argv = INPUT_KINDS[kind]

@@ -18,6 +18,7 @@ from wikivote.errors import (
     RateLimitError,
     RowError,
     SchemaError,
+    ValidationError,
 )
 from wikivote.ingest import (
     BASE_URL_ENV_VAR,
@@ -187,6 +188,14 @@ class TestFetchPageviews:
                 "aa.wikipedia", "X", date(2014, 5, 24), date(2014, 5, 18),
                 session=FakeSession([]), sleep=no_sleep,
             )
+
+    @pytest.mark.parametrize("project,title", [("", "X"), ("aa.wikipedia", "")])
+    def test_empty_project_or_title_rejected_before_any_request(self, project, title):
+        session = FakeSession([])
+        with pytest.raises(ValidationError, match="^empty wiki_project or page_title$"):
+            fetch_pageviews(project, title, date(2014, 5, 18), date(2014, 5, 24),
+                            session=session, sleep=no_sleep)
+        assert session.requests == []
 
     def test_base_url_env_override(self, monkeypatch):
         monkeypatch.setenv(BASE_URL_ENV_VAR, "http://localhost:9/views/")
