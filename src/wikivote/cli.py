@@ -4,6 +4,10 @@ Subcommands: ingest, features, fit, predict, turnout, attention, report.
 Exit codes, all picked by main: 0 success, 2 usage (from argparse alone, and
 before any input file is read), 3 data problem, 4 network problem.
 
+Only fit, predict, turnout, attention and report compute with numpy: they
+import forecast and stats when they run, so the parser, --help, usage errors,
+features and ingest start without it.
+
 Data files are written atomically (temp + rename) and contain no timestamps,
 so identical inputs and config produce byte-identical outputs; run metadata
 lives in a separate manifest next to the reports (see _run).
@@ -23,7 +27,7 @@ from datetime import date
 from pathlib import Path
 
 from . import features as feats
-from . import forecast, ingest, stats
+from . import grid, ingest
 from .errors import DataError, NetworkError
 from .model import validate_dataset
 
@@ -92,11 +96,11 @@ def _load_features(args) -> list[feats.FeatureRow]:
 
 def _model_ids(text: str) -> list[str]:
     ids = [part.strip() for part in text.split(",") if part.strip()]
-    bad = [m for m in ids if m not in forecast.MODEL_IDS]
+    bad = [m for m in ids if m not in grid.MODEL_IDS]
     if bad or not ids:
         raise argparse.ArgumentTypeError(
             f"unknown model id(s) {', '.join(bad) or '(none given)'}; "
-            f"valid ids: {', '.join(forecast.MODEL_IDS)}"
+            f"valid ids: {', '.join(grid.MODEL_IDS)}"
         )
     return ids
 
@@ -110,7 +114,7 @@ def _beta_cell(term: stats.TermEstimate) -> str:
 
 
 def _render_text_table(reports: list[forecast.ModelReport]) -> str:
-    all_terms = list(forecast.BASE_TERMS + forecast.WIKI_TERMS)
+    all_terms = list(grid.BASE_TERMS + grid.WIKI_TERMS)
     header = ["Term"] + [f"Model {r.spec.id}" for r in reports]
     body: list[list[str]] = []
     for name in all_terms:
@@ -183,10 +187,12 @@ def cmd_features(args) -> None:
 
 
 def cmd_fit(args) -> None:
+    from . import forecast
+
     with _run(args) as (files, _):
         rows = _load_features(args)
         reports = [
-            forecast.fit_model(rows, forecast.ModelSpec.from_id(mid), sides=args.sides)
+            forecast.fit_model(rows, grid.ModelSpec.from_id(mid), sides=args.sides)
             for mid in args.models
         ]
         docs = [report.to_json_dict() for report in reports]
@@ -203,8 +209,10 @@ def cmd_fit(args) -> None:
 
 
 def cmd_predict(args) -> None:
+    from . import forecast
+
     training = _load_features(args)
-    spec = forecast.ModelSpec.from_id(args.model)
+    spec = grid.ModelSpec.from_id(args.model)
     report = forecast.fit_model(training, spec)
     scenario = ingest.load_scenario_csv(args.scenario)
 
@@ -224,6 +232,8 @@ def cmd_predict(args) -> None:
 
 
 def cmd_turnout(args) -> None:
+    from . import forecast
+
     records = ingest.load_turnout_csv(args.records)
     result = forecast.turnout_analysis(records, sides=args.sides)
     corr = result.correlation
@@ -280,6 +290,8 @@ def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
 
 
 def cmd_attention(args) -> None:
+    from . import forecast
+
     with _run(args) as (files, errors):
         series_list = ingest.load_pageviews_csv(args.pageviews)
         dynamics: list[dict] = []
@@ -305,6 +317,8 @@ def cmd_attention(args) -> None:
 
 
 def cmd_report(args) -> None:
+    from . import stats
+
     with _run(args) as (files, _):
         rows = _load_features(args)
         files["report_shares.csv"] = ingest.render_csv(
@@ -390,7 +404,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit model specifications and write reports")
     add_feature_inputs(p_fit)
-    p_fit.add_argument("--models", type=_model_ids, default=",".join(forecast.MODEL_IDS),
+    p_fit.add_argument("--models", type=_model_ids, default=",".join(grid.MODEL_IDS),
                        help="comma-separated model ids")
     p_fit.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_fit.add_argument("--sides", choices=["two", "one"], default="two")
@@ -399,7 +413,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict outcomes for scenario rows")
     add_feature_inputs(p_predict)
-    p_predict.add_argument("--model", choices=forecast.MODEL_IDS, default="1.1",
+    p_predict.add_argument("--model", choices=grid.MODEL_IDS, default="1.1",
                            help="model id to fit and apply")
     p_predict.add_argument("--scenario", required=True, help="scenario CSV")
     p_predict.add_argument("--out", help="output CSV path (default stdout)")
@@ -416,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attention.add_argument("--pageviews", required=True, help="page-view CSV")
     p_attention.add_argument("--election-date", type=_date_arg, required=True)
     p_attention.add_argument("--window-days", type=_positive_int,
-                             default=forecast.ATTENTION_WINDOW_DAYS)
+                             default=grid.ATTENTION_WINDOW_DAYS)
     p_attention.add_argument("--output-dir", default="wikivote-out")
     p_attention.set_defaults(func=cmd_attention)
 

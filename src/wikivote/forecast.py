@@ -1,8 +1,6 @@
-"""The eight regression model specifications, turnout and attention analyses.
+"""Fits of the eight regression model specifications, turnout and attention analyses.
 
-Model ids follow a fixed grid: the 1.x family predicts absolute vote share,
-the 2.x family predicts vote change; x.0/x.1 fit all parties without/with the
-page-view terms, x.2/x.3 repeat that on the small-party subset.
+The specifications themselves (ModelSpec, MODEL_GRID) are in grid.
 """
 
 from __future__ import annotations
@@ -18,62 +16,11 @@ import numpy as np
 
 from .errors import ComputationError, CurationWarning
 from .features import FeatureRow, calendar_window, relative_change, subset_small
+# the grid lives in a numpy-free module; BASE_TERMS and MODEL_IDS stay importable from here
+from .grid import ATTENTION_WINDOW_DAYS, BASE_TERMS, MIN_FIT_DAYS, MODEL_IDS, ModelSpec
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
-from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson, qr_least_squares
-
-BASE_TERMS = ("Intercept", "News", "New Party", "Incumbency", "News x Incumbency")
-WIKI_TERMS = ("Wikipedia", "New Party x Wikipedia")
-
-ATTENTION_WINDOW_DAYS = 30
-MIN_FIT_DAYS = 5
-
-
-@dataclass(frozen=True)
-class ModelSpec:
-    id: str
-    dependent: str
-    include_wikipedia: bool
-    subset: str
-
-    @classmethod
-    def from_id(cls, model_id: str) -> "ModelSpec":
-        if model_id not in MODEL_GRID:
-            raise ValueError(
-                f"unknown model id {model_id!r}; valid ids: {', '.join(MODEL_IDS)}"
-            )
-        return MODEL_GRID[model_id]
-
-    @property
-    def term_names(self) -> tuple[str, ...]:
-        return BASE_TERMS + WIKI_TERMS if self.include_wikipedia else BASE_TERMS
-
-    @property
-    def covariates(self) -> tuple[str, ...]:
-        """The row fields the design is built from."""
-        base = ("news_share", "new_party", "incumbent")
-        return base + ("wiki_share",) if self.include_wikipedia else base
-
-    @property
-    def outcome_range(self) -> tuple[float, float]:
-        """Plausible outcomes: [0, 100] for vote share, [-100, 100] for vote change."""
-        return (0.0, 100.0) if self.dependent == "vote_share" else (-100.0, 100.0)
-
-
-MODEL_GRID = {
-    spec.id: spec
-    for spec in (
-        ModelSpec("1.0", "vote_share", False, "all"),
-        ModelSpec("1.1", "vote_share", True, "all"),
-        ModelSpec("1.2", "vote_share", False, "small_parties"),
-        ModelSpec("1.3", "vote_share", True, "small_parties"),
-        ModelSpec("2.0", "vote_change", False, "all"),
-        ModelSpec("2.1", "vote_change", True, "all"),
-        ModelSpec("2.2", "vote_change", False, "small_parties"),
-        ModelSpec("2.3", "vote_change", True, "small_parties"),
-    )
-}
-MODEL_IDS = tuple(MODEL_GRID)
+from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson
 
 
 @dataclass(frozen=True)
@@ -190,13 +137,19 @@ def predict(report: ModelReport, new_rows) -> list[float]:
 
 
 def _studentized_residuals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Internally studentized residuals of the straight-line fit y ~ x, n >= 3."""
-    dof = len(x) - 2
-    design = np.column_stack([np.ones(len(x)), x])
-    q, _, beta = qr_least_squares(design, y)
-    resid = y - design @ beta
-    s2 = float(resid @ resid) / dof
-    hat = (q * q).sum(axis=1)
+    """Internally studentized residuals of the straight-line fit y ~ x, n >= 3, x not constant.
+
+    Closed form from centred x, with leverage h = 1/n + (x - mean x)**2 / Sxx:
+    a rank test on the [1, x] design would weigh the intercept against the
+    scale of x, and call a line through x of range ~1e12 rank deficient.
+    """
+    n = len(x)
+    dx = x - x.mean()
+    dy = y - y.mean()
+    sxx = float(dx @ dx)
+    resid = dy - (float(dx @ dy) / sxx) * dx
+    s2 = float(resid @ resid) / (n - 2)
+    hat = 1.0 / n + dx * dx / sxx
     denom = np.sqrt(np.maximum(s2 * (1.0 - hat), 1e-300))
     return resid / denom
 

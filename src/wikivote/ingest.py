@@ -287,11 +287,21 @@ def ascii_float(text: str) -> float:
     return float(text)
 
 
+_MAX_COUNT = str(2**63 - 1)  # what array("q") holds
+
+
 def _count(text: str) -> int:
-    """ascii_int up to 2**63 - 1, what array("q") holds; a negative is left to its record."""
-    if (value := ascii_int(text)) > 2**63 - 1:
-        raise ValueError(f"{value} is too large")
-    return value
+    """ascii_int of magnitude at most 2**63 - 1; a negative one is left to its record.
+
+    The bound is tested on the digit string, before int() reads it: int()
+    refuses a string of over 4 300 digits with a message of its own. The
+    error gives the number of digits, not the value.
+    """
+    digits = text.removeprefix("-").lstrip("0")
+    # without leading zeros, (length, text) orders digit strings as their values
+    if (len(digits), digits) > (len(_MAX_COUNT), _MAX_COUNT) and _ASCII_INT.fullmatch(text):
+        raise ValueError(f"a {len(digits)}-digit count is too large (at most 2**63 - 1)")
+    return ascii_int(text)
 
 
 def _flag(text: str) -> bool:
@@ -466,9 +476,9 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
                 day = dates.get(day_text)
                 if day is None:
                     day = dates[day_text] = iso_date(day_text)
-                # the ASCII-digit test of ascii_int, without a call or a regex per row
+                # plain ASCII digits without a call or a regex per row; the rest go to _count
                 views = (int(views_text) if views_text.isdigit() and views_text.isascii()
-                         else ascii_int(views_text))
+                         else _count(views_text))
             except ValueError:
                 # the schema's converters raise the RowError read_table would, naming the column
                 _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),

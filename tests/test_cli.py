@@ -268,6 +268,17 @@ class TestTurnoutCommand:
         assert {r["language_edition"] for r in outliers} == {"lang13", "lang14"}
         assert all(r["studentized_residual"] is None for r in outliers)
 
+    def test_view_change_spanning_twelve_orders_is_not_rank_deficient(self, tmp_path):
+        # views changes from -0.9 to ~1e12: a relative rank test on the [1, x]
+        # design weighed the intercept against x's scale and called it dependent
+        path, out = tmp_path / "records.csv", tmp_path / "t.json"
+        path.write_text(INPUT_KINDS["turnout"][0] + "lang01,1,1000000000000,50.0,52.0,0\n"
+                        "lang02,10,1,50.0,49.0,0\nlang03,7,8,50.0,51.0,0\nlang04,5,6,50.0,50.5,0\n")
+        assert main(["turnout", "--records", str(path), "--format", "json",
+                     "--out", str(out)]) == 0
+        residuals = [r["studentized_residual"] for r in json.loads(out.read_text())["ratios"]]
+        assert len(residuals) == 4 and all(math.isfinite(r) for r in residuals)
+
     def test_header_only_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"
         path.write_text(INPUT_KINDS["turnout"][0])
@@ -979,6 +990,7 @@ def drawn_cell(column, integer, decimal, day, flag) -> tuple[str, str]:
     assert int(integer) >= 0
     return integer, f"not an integer of ASCII digits: {integer!r}"
 BIG = 10**400  # 401 digits: no float holds it
+HUGE = "9" * 5000
 INGEST = ["ingest", "--project", "aa.wikipedia", "--title", "X", "--start", "2014-05-18",
           "--end", "2014-05-24"]
 
@@ -1046,14 +1058,31 @@ class TestStrictIntegers:
         # a count beyond 2**63 - 1 is named by its column, as a malformed cell is
         pytest.param("parties",
                      f"Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,15.0,{BIG},aa.wikipedia,B\n",
-                     f"malformed party row: news_mentions: {BIG} is too large",
+                     "malformed party row: news_mentions: a 401-digit count is too large "
+                     "(at most 2**63 - 1)\n",
                      id="news_mentions-too-large"),
         pytest.param("turnout", f"lang02,{BIG},120,50.0,51.0,0\n",
-                     f"malformed turnout row: views_prev: {BIG} is too large",
+                     "malformed turnout row: views_prev: a 401-digit count is too large "
+                     "(at most 2**63 - 1)\n",
                      id="views_prev-too-large"),
         pytest.param("turnout", f"lang02,100,{BIG},50.0,51.0,0\n",
-                     f"malformed turnout row: views_curr: {BIG} is too large",
+                     "malformed turnout row: views_curr: a 401-digit count is too large "
+                     "(at most 2**63 - 1)\n",
                      id="views_curr-too-large"),
+        # past 4 300 digits int() refuses the text with a message of its own
+        pytest.param("pageviews", f"aa.wikipedia,X,2014-05-19,{HUGE}\n",
+                     "malformed page-view row: views: a 5000-digit count is too large "
+                     "(at most 2**63 - 1)\n", id="views-5000-digits"),
+        pytest.param("pageviews", f"aa.wikipedia,X,2014-05-19,-{BIG}\n",
+                     "malformed page-view row: views: a 401-digit count is too large "
+                     "(at most 2**63 - 1)\n", id="views-minus-401-digits"),
+        pytest.param("parties",
+                     f"Arcadia,2014-05-25,p2,B,B,B,0,0,20.0,15.0,-{HUGE},aa.wikipedia,B\n",
+                     "malformed party row: news_mentions: a 5000-digit count is too large "
+                     "(at most 2**63 - 1)\n", id="news_mentions-minus-5000-digits"),
+        pytest.param("turnout", f"lang02,100,{HUGE},50.0,51.0,0\n",
+                     "malformed turnout row: views_curr: a 5000-digit count is too large "
+                     "(at most 2**63 - 1)\n", id="views_curr-5000-digits"),
     ])
     def test_negative_cell_keeps_its_own_message(self, tmp_path, kind, row, fragment):
         header, good, argv = INPUT_KINDS[kind]
