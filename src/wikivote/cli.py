@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import os
 import sys
 import tempfile
@@ -58,10 +59,10 @@ def _run(args):
     If the block or a write raises, only the manifest is written: status
     "error", no outputs, and the errors collected or else the exception's
     message. So a failed run never leaves an earlier run's manifest behind.
-    The manifest's config is every option but --output-dir, dates as YYYY-MM-DD.
+    The manifest's config is every option but --output-dir.
     """
-    config = {key: value.isoformat() if isinstance(value, date) else value
-              for key, value in vars(args).items() if key not in ("command", "func", "output_dir")}
+    config = {key: value for key, value in vars(args).items()
+              if key not in ("command", "func", "output_dir")}
     files: dict[str, str] = {}
     errors: list[str] = []
     status = "error"
@@ -76,7 +77,12 @@ def _run(args):
     finally:
         manifest = {"command": args.command, "config": config, "status": status,
                     "outputs": list(files) if status == "ok" else [], "errors": errors}
-        _atomic_write(Path(args.output_dir, "manifest.json"), json.dumps(manifest, indent=2) + "\n")
+        _atomic_write(Path(args.output_dir, "manifest.json"), _json(manifest))
+
+
+def _json(doc) -> str:
+    """doc as JSON text indented by 2, ending in a newline; a date is written as YYYY-MM-DD."""
+    return json.dumps(doc, indent=2, default=date.isoformat) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -102,6 +108,9 @@ def _model_ids(text: str) -> list[str]:
             f"unknown model id(s) {', '.join(bad) or '(none given)'}; "
             f"valid ids: {', '.join(grid.MODEL_IDS)}"
         )
+    repeated = sorted({m for m in ids if ids.count(m) > 1})
+    if repeated:
+        raise argparse.ArgumentTypeError(f"repeated model id(s) {', '.join(repeated)}")
     return ids
 
 
@@ -141,9 +150,8 @@ def _render_text_table(reports: list[forecast.ModelReport]) -> str:
 def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
     return ingest.render_csv(
         ["model", "term", "beta", "se", "t", "p", "stars", "r2", "adj_r2", "n"],
-        ([report.spec.id, term.name, repr(term.beta), repr(term.se),
-          repr(term.t_stat), repr(term.p_value), term.stars,
-          repr(report.fit.r2), repr(report.fit.adj_r2), report.fit.n]
+        ([report.spec.id, term.name, term.beta, term.se, term.t_stat, term.p_value, term.stars,
+          report.fit.r2, report.fit.adj_r2, report.fit.n]
          for report in reports for term in report.fit.terms),
     )
 
@@ -175,15 +183,16 @@ def cmd_ingest(args, parser) -> None:
     _emit(ingest.render_pageviews_csv(series), args.out)
 
 
+def _feature_csv(rows: list[feats.FeatureRow], columns: list[str], **computed) -> str:
+    """CSV of the named FeatureRow columns, one line per row, then a column
+    for each keyword: its name and its function's value of the row."""
+    named = operator.attrgetter(*columns)
+    return ingest.render_csv([*columns, *computed], (
+        [*named(row), *(value(row) for value in computed.values())] for row in rows))
+
+
 def cmd_features(args) -> None:
-    rows = _load_features(args)
-    text = ingest.render_csv(feats.FEATURE_COLUMNS, (
-        [row.party_id, row.country, row.election_date.isoformat(),
-         repr(row.wiki_share), repr(row.news_share), row.new_party,
-         row.incumbent, repr(row.vote_share), repr(row.vote_change)]
-        for row in rows
-    ))
-    _emit(text, args.out)
+    _emit(_feature_csv(_load_features(args), feats.FEATURE_COLUMNS), args.out)
 
 
 def cmd_fit(args) -> None:
@@ -197,13 +206,13 @@ def cmd_fit(args) -> None:
         ]
         docs = [report.to_json_dict() for report in reports]
         for report, doc in zip(reports, docs):
-            files[f"model_{report.spec.id}.json"] = json.dumps(doc, indent=2) + "\n"
+            files[f"model_{report.spec.id}.json"] = _json(doc)
         if args.format == "text":
             files["fit_table.txt"] = _render_text_table(reports)
         elif args.format == "csv":
             files["fit_table.csv"] = _render_csv_table(reports)
         else:
-            files["fit_table.json"] = json.dumps(docs, indent=2) + "\n"
+            files["fit_table.json"] = _json(docs)
     if args.format == "text":
         sys.stdout.write(files["fit_table.txt"])
 
@@ -227,7 +236,7 @@ def cmd_predict(args) -> None:
         flags = [] if low <= value <= high else ["out_of_range"]
         if any(not lo <= getattr(row, c) <= hi for c, (lo, hi) in training_range.items()):
             flags.append("extrapolated")
-        out_rows.append([row.party_id, repr(value), ";".join(flags)])
+        out_rows.append([row.party_id, value, ";".join(flags)])
     _emit(ingest.render_csv(["party_id", "predicted", "flags"], out_rows), args.out)
 
 
@@ -244,7 +253,7 @@ def cmd_turnout(args) -> None:
             "sides": args.sides,
             "ratios": [asdict(ratio) for ratio in result.ratios],
         }
-        _emit(json.dumps(doc, indent=2) + "\n", args.out)
+        _emit(_json(doc), args.out)
         return
 
     lines = [
@@ -268,15 +277,14 @@ def cmd_turnout(args) -> None:
 
 
 def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
-    """The `series_id,date,views,log_views` plot CSV, the text csv.writer would give.
+    """The `series_id,date,views,log_views` plot CSV, the text render_csv would give.
 
     Only the series id can need CSV quoting, so render_csv encodes it once per
     series; the `date,` text of each distinct day and the `views,log_views`
     line end of each distinct count are formatted once and looked up.
     """
-    day_cells = {day: f"{day.isoformat()},"
-                 for day in set().union(*(series.days for series in series_list))}
-    count_cells = {views: f"{views},{repr(math.log(views)) if views > 0 else ''}\n"
+    day_cells = {day: f"{day}," for day in set().union(*(series.days for series in series_list))}
+    count_cells = {views: f"{views},{math.log(views) if views > 0 else ''}\n"
                    for views in set().union(*(series.counts for series in series_list))}
     chunks = [ingest.render_csv(["series_id", "date", "views", "log_views"], [])]
     for series in series_list:
@@ -299,18 +307,14 @@ def cmd_attention(args) -> None:
             series_id = f"{series.wiki_project}:{series.page_title}"
             try:
                 dyn = forecast.attention_dynamics(series, args.election_date, args.window_days)
-                dynamics.append({
-                    "series_id": series_id,
-                    "status": "ok",
-                    **vars(dyn),  # its fields in order; asdict would deep-copy each of them
-                    "peak_date": dyn.peak_date.isoformat(),
-                })
+                # its fields in order; asdict would deep-copy each of them
+                dynamics.append({"series_id": series_id, "status": "ok", **vars(dyn)})
             except DataError as exc:
                 dynamics.append({"series_id": series_id, "status": "error", "error": str(exc)})
                 errors.append(str(exc))
         if series_list and len(errors) == len(series_list):
             raise DataError(f"attention analysis failed for every series; first: {errors[0]}")
-        files["attention_dynamics.json"] = json.dumps(dynamics, indent=2) + "\n"
+        files["attention_dynamics.json"] = _json(dynamics)
         files["attention_series.csv"] = _render_attention_series(series_list)
     print(f"attention: {len(series_list) - len(errors)} series analysed, {len(errors)} failed",
           file=sys.stderr)
@@ -321,12 +325,9 @@ def cmd_report(args) -> None:
 
     with _run(args) as (files, _):
         rows = _load_features(args)
-        files["report_shares.csv"] = ingest.render_csv(
-            ["country", "election_date", "party_id", "wiki_share", "news_share", "vote_share"],
-            ([row.country, row.election_date.isoformat(), row.party_id,
-              repr(row.wiki_share), repr(row.news_share), repr(row.vote_share)]
-             for row in rows),
-        )
+        files["report_shares.csv"] = _feature_csv(
+            rows, ["country", "election_date", "party_id", "wiki_share", "news_share",
+                   "vote_share"])
 
         small = feats.subset_small(rows)
         pairs = {
@@ -337,32 +338,29 @@ def cmd_report(args) -> None:
             "news_vs_wiki": ([r.news_share for r in rows], [r.wiki_share for r in rows]),
         }
         correlations = {name: asdict(stats.pearson(x, y)) for name, (x, y) in pairs.items()}
-        files["report_correlations.json"] = json.dumps(correlations, indent=2) + "\n"
+        files["report_correlations.json"] = _json(correlations)
 
-        files["report_scatter.csv"] = ingest.render_csv(
-            ["party_id", "country", "election_date", "news_share", "wiki_share", "cluster"],
-            ([row.party_id, row.country, row.election_date.isoformat(),
-              repr(row.news_share), repr(row.wiki_share),
-              "new" if row.new_party else ("incumbent" if row.incumbent else "other")]
-             for row in rows),
-        )
+        files["report_scatter.csv"] = _feature_csv(
+            rows, ["party_id", "country", "election_date", "news_share", "wiki_share"],
+            cluster=lambda row: (
+                "new" if row.new_party else ("incumbent" if row.incumbent else "other")))
+
+
+def _option(convert):
+    """convert as an argparse type: a rejected value gets convert's own message."""
+    def parse(text: str):
+        try:
+            return convert(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+    return parse
 
 
 def _positive_int(text: str) -> int:
-    try:
-        value = ingest.ascii_int(text)
-    except ValueError:
-        value = 0
+    value = ingest.ascii_int(text)
     if value < 1:
-        raise argparse.ArgumentTypeError(f"not a positive integer: {text!r}")
+        raise ValueError(f"not a positive integer: {text!r}")
     return value
-
-
-def _date_arg(text: str) -> date:
-    try:
-        return ingest.iso_date(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a YYYY-MM-DD date: {text!r}") from exc
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -371,21 +369,27 @@ def build_parser() -> argparse.ArgumentParser:
         description="Election forecasting from Wikipedia page-view and news shares",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # option values are read by the converters of CSV cells of the same kind
+    date_type, int_type, float_type, positive_type = map(
+        _option, (ingest.iso_date, ingest.ascii_int, ingest.ascii_float, _positive_int))
 
-    p_ingest = sub.add_parser("ingest", help="fetch daily page views into a CSV")
+    # one usage line: argparse's own lists all nine options on five lines above every error
+    p_ingest = sub.add_parser("ingest", help="fetch daily page views into a CSV", usage=(
+        "%(prog)s [--project PROJECT --title TITLE] [--pages PAGES] --start START --end END "
+        "[options]"))
     p_ingest.add_argument("--project", help="language-edition id, e.g. en.wikipedia")
     p_ingest.add_argument("--title", help="article title")
     p_ingest.add_argument("--pages", help="CSV of wiki_project,page_title pairs")
-    p_ingest.add_argument("--start", type=_date_arg, required=True)
-    p_ingest.add_argument("--end", type=_date_arg, required=True)
+    p_ingest.add_argument("--start", type=date_type, required=True)
+    p_ingest.add_argument("--end", type=date_type, required=True)
     fetch = ingest.FetchPolicy()
-    p_ingest.add_argument("--max-in-flight", type=ingest.ascii_int, default=fetch.max_in_flight,
+    p_ingest.add_argument("--max-in-flight", type=int_type, default=fetch.max_in_flight,
                           help=f"pages fetched at once, 1 to {ingest.MAX_IN_FLIGHT} "
                                "(default %(default)s)")
-    p_ingest.add_argument("--retry-limit", type=ingest.ascii_int, default=fetch.retry_limit,
+    p_ingest.add_argument("--retry-limit", type=int_type, default=fetch.retry_limit,
                           help=f"retries per page, 0 to {ingest.MAX_RETRY_LIMIT} "
                                "(default %(default)s)")
-    p_ingest.add_argument("--backoff-base", type=ingest.ascii_float, default=fetch.backoff_base,
+    p_ingest.add_argument("--backoff-base", type=float_type, default=fetch.backoff_base,
                           help=f"seconds, 0 to {ingest.MAX_BACKOFF_BASE} (default %(default)s)")
     p_ingest.add_argument("--out", help="output CSV path (default stdout)")
     # cmd_ingest reports the option rules argparse cannot express through ingest's own parser
@@ -394,7 +398,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_feature_inputs(p):
         p.add_argument("--dataset", required=True, help="party dataset CSV")
         p.add_argument("--pageviews", required=True, help="page-view CSV")
-        p.add_argument("--window-days", type=_positive_int, default=feats.WINDOW_DAYS,
+        p.add_argument("--window-days", type=positive_type, default=feats.WINDOW_DAYS,
                        help="attention window length ending the day before the election")
 
     p_features = sub.add_parser("features", help="emit the regression covariate table")
@@ -428,8 +432,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_attention = sub.add_parser("attention", help="build-up/decay rates per series")
     p_attention.add_argument("--pageviews", required=True, help="page-view CSV")
-    p_attention.add_argument("--election-date", type=_date_arg, required=True)
-    p_attention.add_argument("--window-days", type=_positive_int,
+    p_attention.add_argument("--election-date", type=date_type, required=True)
+    p_attention.add_argument("--window-days", type=positive_type,
                              default=grid.ATTENTION_WINDOW_DAYS)
     p_attention.add_argument("--output-dir", default="wikivote-out")
     p_attention.set_defaults(func=cmd_attention)

@@ -175,29 +175,24 @@ def fetch_pageviews(
     http = session or requests.Session()
     headers = {"User-Agent": USER_AGENT, "Accept": "application/json"}
 
-    attempt = 0
-    while True:
+    for attempt in range(policy.retry_limit + 1):
+        if attempt:
+            sleep(policy.backoff_base * 2**(attempt - 1))
         try:
             response = http.get(url, headers=headers, timeout=30)
-            status = response.status_code
         except requests.RequestException as exc:
-            status = None
             failure = NetworkError(f"request failed for {project}/{title}: {exc}")
+            continue
+        status = response.status_code
         if status == 404:
             raise MissingPageError(f"no page-view record for {project}/{title}")
         if status == 200:
             return _series_from_items(project, title, response.json(), start, end)
-        if status is not None:
-            if status != 429 and status < 500:
-                raise NetworkError(f"unexpected HTTP {status} for {project}/{title}")
-            kind = RateLimitError if status == 429 else NetworkError
-            failure = kind(
-                f"HTTP {status} for {project}/{title} after {attempt + 1} attempts"
-            )
-        if attempt >= policy.retry_limit:
-            raise failure
-        sleep(policy.backoff_base * 2**attempt)
-        attempt += 1
+        if status != 429 and status < 500:
+            raise NetworkError(f"unexpected HTTP {status} for {project}/{title}")
+        kind = RateLimitError if status == 429 else NetworkError
+        failure = kind(f"HTTP {status} for {project}/{title} after {attempt + 1} attempts")
+    raise failure
 
 
 def _series_from_items(project, title, payload, start, end) -> PageViewSeries:
@@ -235,15 +230,11 @@ def fetch_many(
     from concurrent.futures import ThreadPoolExecutor
 
     policy = policy or FetchPolicy()
-
-    def one(page):
-        project, title = page
-        return fetch_pageviews(project, title, start, end, policy, **kwargs)
-
     results: list[PageViewSeries] = []
     failures: list[tuple[tuple[str, str], Exception]] = []
     with ThreadPoolExecutor(max_workers=policy.max_in_flight) as pool:
-        futures = [pool.submit(one, page) for page in pages]
+        futures = [pool.submit(fetch_pageviews, project, title, start, end, policy, **kwargs)
+                   for project, title in pages]
         for page, future in zip(pages, futures):
             try:
                 results.append(future.result())
@@ -270,11 +261,21 @@ def iso_date(text: str) -> date:
 
 
 def ascii_int(text: str) -> int:
-    """An integer of ASCII digits, with an optional leading `-` for the callers
-    that reject a negative value with their own message; int alone also takes
-    `1_010`, ` 7 `, `+5` and non-ASCII digits such as `١٠`."""
+    """An integer of ASCII digits and of magnitude at most 2**63 - 1, with an
+    optional leading `-` for the callers that reject a negative value with
+    their own message; int alone also takes `1_010`, ` 7 `, `+5` and
+    non-ASCII digits such as `١٠`.
+
+    The bound is tested on the digit string, before int() reads it: int()
+    refuses a string of over 4 300 digits with a message of its own. The
+    error gives the number of digits, not the value.
+    """
     if not _ASCII_INT.fullmatch(text):
         raise ValueError(f"not an integer of ASCII digits: {text!r}")
+    digits = text.removeprefix("-").lstrip("0")
+    # without leading zeros, (length, text) orders digit strings as their values
+    if (len(digits), digits) > (len(_MAX_COUNT), _MAX_COUNT):
+        raise ValueError(f"a {len(digits)}-digit count is too large (at most 2**63 - 1)")
     return int(text)
 
 
@@ -288,20 +289,6 @@ def ascii_float(text: str) -> float:
 
 
 _MAX_COUNT = str(2**63 - 1)  # what array("q") holds
-
-
-def _count(text: str) -> int:
-    """ascii_int of magnitude at most 2**63 - 1; a negative one is left to its record.
-
-    The bound is tested on the digit string, before int() reads it: int()
-    refuses a string of over 4 300 digits with a message of its own. The
-    error gives the number of digits, not the value.
-    """
-    digits = text.removeprefix("-").lstrip("0")
-    # without leading zeros, (length, text) orders digit strings as their values
-    if (len(digits), digits) > (len(_MAX_COUNT), _MAX_COUNT) and _ASCII_INT.fullmatch(text):
-        raise ValueError(f"a {len(digits)}-digit count is too large (at most 2**63 - 1)")
-    return ascii_int(text)
 
 
 def _flag(text: str) -> bool:
@@ -324,18 +311,18 @@ def _optional_float(text: str) -> float | None:
 # Each schema lists (column, converter) pairs in the order its loader consumes
 # the values; render_pageviews_csv takes its header from PAGEVIEWS_SCHEMA.
 PAGEVIEWS_SCHEMA = (
-    ("wiki_project", str), ("page_title", str), ("date", iso_date), ("views", _count),
+    ("wiki_project", str), ("page_title", str), ("date", iso_date), ("views", ascii_int),
 )
 PAGES_SCHEMA = PAGEVIEWS_SCHEMA[:2]
 PARTY_SCHEMA = (
     ("country", str), ("election_date", iso_date), ("party_id", str),
     ("name_english", str), ("name_local", str), ("abbreviation", str),
     ("is_new", _flag), ("is_incumbent", _flag), ("vote_share", _finite_float),
-    ("prev_vote_share", _optional_float), ("news_mentions", _count),
+    ("prev_vote_share", _optional_float), ("news_mentions", ascii_int),
     ("wiki_project", str), ("wiki_page_title", str),
 )
 TURNOUT_SCHEMA = (
-    ("language_edition", str), ("views_prev", _count), ("views_curr", _count),
+    ("language_edition", str), ("views_prev", ascii_int), ("views_curr", ascii_int),
     ("turnout_prev", _finite_float), ("turnout_curr", _finite_float), ("outlier", _flag),
 )
 SCENARIO_SCHEMA = (
@@ -353,9 +340,10 @@ def _table(path, schema, what: str):
     in schema order. A missing column raises SchemaError.
     Inside the block, a csv.Error (say, a field over the csv module's size
     limit) becomes RowError with the reader's line, and a file that is not
-    UTF-8 RowError with the line of its first undecodable byte.
+    UTF-8 RowError with the line of its first undecodable byte. A leading
+    UTF-8 byte-order mark, as spreadsheet exports write, is skipped.
     """
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8-sig") as handle:
         reader = csv.reader(handle)
         try:
             header = next(reader, [])
@@ -438,7 +426,10 @@ def page_key(values) -> tuple[str, str]:
 def render_csv(header, rows) -> str:
     """CSV text of a header row and the rows, each line ending in "\\n".
 
-    rows may be any iterable; a generator is consumed one row at a time.
+    Cells are values, written as csv.writer writes them: a str as itself,
+    quoted where needed; a float (numpy's too) as its repr, the shortest text
+    that reads back to the same float; a date as YYYY-MM-DD. rows may be any
+    iterable; a generator is consumed one row at a time.
     """
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
@@ -476,9 +467,9 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
                 day = dates.get(day_text)
                 if day is None:
                     day = dates[day_text] = iso_date(day_text)
-                # plain ASCII digits without a call or a regex per row; the rest go to _count
+                # plain ASCII digits without a call or a regex per row; the rest go to ascii_int
                 views = (int(views_text) if views_text.isdigit() and views_text.isascii()
-                         else _count(views_text))
+                         else ascii_int(views_text))
             except ValueError:
                 # the schema's converters raise the RowError read_table would, naming the column
                 _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
@@ -507,7 +498,7 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
                 seen.add(day)
             try:
                 add_count(views)
-            except OverflowError:  # _count names the cell, as read_table would
+            except OverflowError:  # ascii_int names the cell, as read_table would
                 _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
                                PAGEVIEWS_SCHEMA, "page-view")
                 raise
@@ -530,7 +521,7 @@ def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:
     """Page-view CSV text, pages in key order; load_pageviews_csv reads it back."""
     return render_csv(
         [name for name, _ in PAGEVIEWS_SCHEMA],
-        ((series.wiki_project, series.page_title, day.isoformat(), views)
+        ((series.wiki_project, series.page_title, day, views)
          for series in sorted(series_list, key=lambda s: s.key)
          for day, views in zip(series.days, series.counts)),
     )

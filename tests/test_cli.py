@@ -7,6 +7,7 @@ import json
 import math
 import re
 from datetime import date
+from pathlib import Path
 
 import pytest
 import responses
@@ -14,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, pageview_payload
-from wikivote.cli import main
+from wikivote.cli import _atomic_write, main
 from wikivote.ingest import (MAX_BACKOFF_BASE, MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy,
                              PageViewSeries, render_pageviews_csv)
 
@@ -73,6 +74,24 @@ class TestFit:
         doc = json.loads((tmp_path / "out" / "fit_table.json").read_text())
         assert doc[0]["spec"] == "1.1"
         assert isinstance(doc[0]["terms"][1]["beta"], float)
+
+    def test_csv_format_has_one_row_per_model_term_as_in_the_json(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(fit_args(out, models="1.0,2.3", extra=("--format", "csv"))) == 0
+        capsys.readouterr()
+        with open(out / "fit_table.csv", newline="", encoding="utf-8") as handle:
+            rows = list(csv.DictReader(handle))
+        expected = []
+        for model in ("1.0", "2.3"):
+            doc = json.loads((out / f"model_{model}.json").read_text())
+            expected += [{"model": model, "term": term["name"], "beta": term["beta"],
+                          "se": term["se"], "t": term["t"], "p": term["p"],
+                          "stars": term["stars"], "r2": doc["r2"], "adj_r2": doc["adj_r2"],
+                          "n": doc["n"]} for term in doc["terms"]]
+        # every number is written at full precision: it reads back to the JSON's value
+        assert [{**row, **{key: float(row[key]) for key in ("beta", "se", "t", "p", "r2",
+                                                             "adj_r2")}, "n": int(row["n"])}
+                for row in rows] == expected
 
     def test_all_eight_models_by_default(self, tmp_path, capsys):
         assert main(fit_args(tmp_path / "out", models=",".join(
@@ -155,6 +174,17 @@ class TestFeaturesCommand:
         assert header == ("party_id,country,election_date,wiki_share,news_share,"
                           "new_party,incumbent,vote_share,vote_change")
         assert len(a.read_text().splitlines()) == 60
+
+    @pytest.mark.parametrize("marked", ["dataset", "pageviews"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, marked):
+        path = tmp_path / f"{marked}.csv"
+        plain_file = {"dataset": PARTIES, "pageviews": PAGEVIEWS}[marked]
+        path.write_bytes(b"\xef\xbb\xbf" + Path(plain_file).read_bytes())
+        argv = ["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, f"--{marked}", str(path)]) == 0
+        assert capsys.readouterr().out == plain
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS]) == 0
@@ -286,6 +316,16 @@ class TestTurnoutCommand:
         assert capsys.readouterr().err == (
             "wikivote: need at least 3 non-outlier records, got 0\n")
 
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys, output):
+        # spreadsheet "CSV UTF-8" exports start with EF BB BF
+        marked = tmp_path / "turnout.csv"
+        marked.write_bytes(b"\xef\xbb\xbf" + (DATA_DIR / "demo_turnout.csv").read_bytes())
+        assert main(["turnout", "--records", TURNOUT, "--format", output]) == 0
+        plain = capsys.readouterr().out
+        assert main(["turnout", "--records", str(marked), "--format", output]) == 0
+        assert capsys.readouterr().out == plain
+
     def test_malformed_records_are_data_error(self, tmp_path, capsys):
         path = tmp_path / "bad.csv"
         path.write_text(
@@ -308,6 +348,7 @@ class TestAttentionCommand:
         assert all(r["status"] == "ok" for r in rates)
         for r in rates:
             assert r["lambda_down"] > r["lambda_up"] > 0.0
+        assert all(re.fullmatch(r"\d{4}-\d{2}-\d{2}", r["peak_date"]) for r in rates)
         series_csv = (out / "attention_series.csv").read_text().splitlines()
         assert series_csv[0] == "series_id,date,views,log_views"
         assert len(series_csv) == 1 + 14 * 71
@@ -420,6 +461,9 @@ class TestOptionErrors:
     @pytest.mark.parametrize("argv,message", [
         (fit_args("out", models="9.9"), "wikivote fit: error: argument --models: unknown model "
          "id(s) 9.9; valid ids: 1.0, 1.1, 1.2, 1.3, 2.0, 2.1, 2.2, 2.3\n"),
+        # a repeated id would fit the model twice and write two identical table columns
+        (fit_args("out", models="1.0,2.1,1.0"), "wikivote fit: error: argument --models: "
+         "repeated model id(s) 1.0\n"),
         (fit_args("out", models=","), "argument --models: unknown model id(s) (none given)"),
         # predict uses only the fit's coefficients, so it takes no --sides
         (["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--scenario", "s.csv",
@@ -428,7 +472,8 @@ class TestOptionErrors:
         (["predict", "--dataset", "/nonexistent.csv", "--pageviews", PAGEVIEWS,
           "--scenario", "s.csv", "--model", "9.9"],
          "wikivote predict: error: argument --model: invalid choice: '9.9'"),
-    ], ids=["fit-unknown-model", "fit-no-model", "predict-sides", "predict-unknown-model"])
+    ], ids=["fit-unknown-model", "fit-repeated-model", "fit-no-model", "predict-sides",
+            "predict-unknown-model"])
     def test_usage_error_names_the_option(self, argv, message):
         code, err = run(argv)
         assert code == 2
@@ -479,6 +524,16 @@ class TestFailedRun:
         assert len(manifest["errors"]) == 1 and str(missing) in manifest["errors"][0]
 
 
+class TestAtomicWrite:
+    def test_failed_write_keeps_the_old_file_and_leaves_no_temp_file(self, tmp_path):
+        path = tmp_path / "report.csv"
+        _atomic_write(path, "old\n")
+        with pytest.raises(UnicodeEncodeError):
+            _atomic_write(path, "new \ud800\n")  # a lone surrogate has no UTF-8 form
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+
 EMPTY_PAGE_CELL = "malformed page list row: empty wiki_project or page_title"
 
 
@@ -516,15 +571,23 @@ class TestIngestCommand:
         assert f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}, got {value}" in err
         assert len(responses.calls) == 0
 
-    @pytest.mark.parametrize("value", [str(MAX_RETRY_LIMIT + 1), "99999999999999999999"])
+    @pytest.mark.parametrize("value,message", [
+        pytest.param(str(MAX_RETRY_LIMIT + 1),
+                     f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got {MAX_RETRY_LIMIT + 1}",
+                     id=str(MAX_RETRY_LIMIT + 1)),
+        # beyond 2**63 - 1, ascii_int rejects it as it rejects such a count cell
+        pytest.param("99999999999999999999",
+                     "argument --retry-limit: a 20-digit count is too large (at most 2**63 - 1)",
+                     id="99999999999999999999"),
+    ])
     @responses.activate
-    def test_retry_limit_above_the_bound_is_usage_error_before_any_request(self, value):
+    def test_retry_limit_above_the_bound_is_usage_error_before_any_request(self, value, message):
         code, err = run([
             "ingest", "--project", "aa.wikipedia", "--title", "Unity Party",
             "--start", "2014-05-18", "--end", "2014-05-24", "--retry-limit", value,
         ])
         assert code == 2
-        assert f"retry_limit must be from 0 to {MAX_RETRY_LIMIT}, got {value}" in err
+        assert message in err
         assert len(responses.calls) == 0
 
     @pytest.mark.parametrize("argv,message", [
@@ -1028,26 +1091,39 @@ class TestStrictIntegers:
         assert run(argv(str(path))) == (
             3, f"wikivote: line 3: malformed {what} row: {column}: {message}\n")
 
-    @pytest.mark.parametrize("argv,message", [
-        ([*INGEST, "--max-in-flight"], "invalid ascii_int value"),
-        ([*INGEST, "--retry-limit"], "invalid ascii_int value"),
-        (["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"],
-         "not a positive integer"),
-        ([*INGEST, "--backoff-base"], "invalid ascii_float value"),
-        ([*INGEST, "--start"], "not a YYYY-MM-DD date"),
-        ([*INGEST, "--end"], "not a YYYY-MM-DD date"),
-        (["attention", "--pageviews", GENERAL, "--election-date"], "not a YYYY-MM-DD date"),
+    @pytest.mark.parametrize("argv", [
+        [*INGEST, "--max-in-flight"],
+        [*INGEST, "--retry-limit"],
+        ["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"],
+        [*INGEST, "--backoff-base"],
+        [*INGEST, "--start"],
+        [*INGEST, "--end"],
+        ["attention", "--pageviews", GENERAL, "--election-date"],
     ], ids=["max-in-flight", "retry-limit", "window-days", "backoff-base", "start", "end",
             "election-date"])
     @given(integer=lax_numbers(), decimal=lax_numbers(DECIMAL_TAILS), day=lax_dates(),
            flag=lax_flags())
     @with_acceptance_forms
     @settings(max_examples=30, deadline=None)
-    def test_option_is_usage_error(self, argv, message, integer, decimal, day, flag):
-        text, _ = drawn_cell(argv[-1], integer, decimal, day, flag)
+    def test_option_is_usage_error(self, argv, integer, decimal, day, flag):
+        # an option gets the message its converter gives a CSV cell of the same kind
+        text, message = drawn_cell(argv[-1], integer, decimal, day, flag)
         code, err = run([*argv, text])
         assert code == 2
-        assert f"{argv[-1]}: {message}: {text!r}" in err
+        assert err.endswith(f" error: argument {argv[-1]}: {message}\n")
+
+    @pytest.mark.parametrize("argv", [
+        [*INGEST, "--max-in-flight"],
+        [*INGEST, "--retry-limit"],
+        ["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"],
+    ], ids=["max-in-flight", "retry-limit", "window-days"])
+    @pytest.mark.parametrize("digits", [20, 5000])
+    def test_too_large_integer_option_is_short_usage_error(self, argv, digits):
+        code, err = run([*argv, "9" * digits])
+        assert code == 2
+        assert err.endswith(f" error: argument {argv[-1]}: a {digits}-digit count is too large "
+                            "(at most 2**63 - 1)\n")
+        assert len(err.encode()) < 300
 
     @pytest.mark.parametrize("kind,row,fragment", [
         ("pageviews", "aa.wikipedia,X,2014-05-19,-4\n", "negative view count -4"),

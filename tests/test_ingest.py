@@ -142,7 +142,7 @@ class TestFetchPageviews:
     def test_rate_limit_exhaustion(self):
         session = FakeSession([FakeResponse(429)] * 3)
         sleeps = []
-        with pytest.raises(RateLimitError):
+        with pytest.raises(RateLimitError, match="^HTTP 429 for aa.wikipedia/X after 3 attempts$"):
             fetch_pageviews(
                 "aa.wikipedia", "X", date(2014, 5, 18), date(2014, 5, 24),
                 FetchPolicy(retry_limit=2, backoff_base=1.0),
@@ -160,10 +160,11 @@ class TestFetchPageviews:
                 session=session, sleep=lambda _: None,
             )
         assert not isinstance(excinfo.value, RateLimitError)
+        assert str(excinfo.value) == "HTTP 503 for aa.wikipedia/X after 2 attempts"
 
     def test_client_error_fails_immediately(self):
         session = FakeSession([FakeResponse(400)])
-        with pytest.raises(NetworkError):
+        with pytest.raises(NetworkError, match="^unexpected HTTP 400 for aa.wikipedia/X$"):
             fetch_pageviews(
                 "aa.wikipedia", "X", date(2014, 5, 18), date(2014, 5, 24),
                 session=session, sleep=no_sleep,
@@ -181,6 +182,18 @@ class TestFetchPageviews:
             session=session, sleep=lambda _: None,
         )
         assert series.daily == dict(WEEK)
+
+    def test_connection_trouble_exhaustion_raises_the_last_failure(self):
+        session = FakeSession([requests.ConnectionError("refused"),
+                               requests.ConnectionError("reset")])
+        sleeps = []
+        with pytest.raises(NetworkError, match="^request failed for aa.wikipedia/X: reset$"):
+            fetch_pageviews(
+                "aa.wikipedia", "X", date(2014, 5, 18), date(2014, 5, 24),
+                FetchPolicy(retry_limit=1, backoff_base=0.5),
+                session=session, sleep=sleeps.append,
+            )
+        assert sleeps == [0.5]
 
     def test_start_after_end_rejected(self):
         with pytest.raises(ValueError):
