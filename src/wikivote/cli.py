@@ -10,18 +10,22 @@ features and ingest start without it.
 
 Data files are written atomically (temp + rename) and contain no timestamps,
 so identical inputs and config produce byte-identical outputs; run metadata
-lives in a separate manifest next to the reports (see _run).
+lives in a separate manifest next to the reports (see _run). A file may be
+given as str chunks, written one at a time: attention's plot CSV, the largest
+output, is never held whole.
 """
 
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import math
 import operator
 import os
 import sys
 import tempfile
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict
 from datetime import date
@@ -37,12 +41,17 @@ EXIT_DATA = 3
 EXIT_NETWORK = 4
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write_chunks(path: Path, chunks: Iterable[str]) -> None:
+    """Write the text chunks to path, one at a time, through a temp file and a rename.
+
+    If making or writing a chunk raises, path keeps its old content and the
+    temp file is removed.
+    """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -50,12 +59,18 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
+def _atomic_write(path: Path, text: str) -> None:
+    _atomic_write_chunks(path, (text,))
+
+
 @contextmanager
 def _run(args):
     """Yield (files, errors) to the command of args, which writes into args.output_dir.
 
     The block fills files with {name: text} and adds to errors each failure it
-    got past. When it ends, the files are written in order, then the manifest.
+    got past; a text is a str, or an iterable of str chunks that is written
+    one chunk at a time, so a large file is never held whole. When the block
+    ends, the files are written in order, then the manifest.
     If the block or a write raises, only the manifest is written: status
     "error", no outputs, and the errors collected or else the exception's
     message. So a failed run never leaves an earlier run's manifest behind.
@@ -63,13 +78,15 @@ def _run(args):
     """
     config = {key: value for key, value in vars(args).items()
               if key not in ("command", "func", "output_dir")}
-    files: dict[str, str] = {}
+    files: dict[str, str | Iterable[str]] = {}
     errors: list[str] = []
     status = "error"
     try:
         yield files, errors
         for name, text in files.items():
-            _atomic_write(Path(args.output_dir, name), text)
+            # a str goes through _atomic_write, the one write bench/tracer.py counts
+            write = _atomic_write if isinstance(text, str) else _atomic_write_chunks
+            write(Path(args.output_dir, name), text)
         status = "ok"
     except Exception as exc:
         errors = errors or [str(exc)]
@@ -276,25 +293,32 @@ def cmd_turnout(args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
-def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> str:
-    """The `series_id,date,views,log_views` plot CSV, the text render_csv would give.
+def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> Iterator[str]:
+    """The `series_id,date,views,log_views` plot CSV, the text render_csv would
+    give, as the header chunk and then one chunk per series, each joined only
+    when it is taken.
 
     Only the series id can need CSV quoting, so render_csv encodes it once per
     series; the `date,` text of each distinct day and the `views,log_views`
-    line end of each distinct count are formatted once and looked up.
+    line end of each distinct count are formatted once, here, and looked up.
     """
     day_cells = {day: f"{day}," for day in set().union(*(series.days for series in series_list))}
-    count_cells = {views: f"{views},{math.log(views) if views > 0 else ''}\n"
-                   for views in set().union(*(series.counts for series in series_list))}
-    chunks = [ingest.render_csv(["series_id", "date", "views", "log_views"], [])]
-    for series in series_list:
+    # the distinct counts as keys, then their cells as values: no set of them beside the dict
+    count_cells = dict.fromkeys(itertools.chain.from_iterable(
+        series.counts for series in series_list))
+    for views in count_cells:
+        count_cells[views] = f"{views},{math.log(views) if views > 0 else ''}\n"
+
+    def rows(series: ingest.PageViewSeries) -> str:
         prefix = ingest.render_csv([f"{series.wiki_project}:{series.page_title}"], [])[:-1] + ","
         # each row is three parts: the quoted id and comma, `date,` and `views,log_views\n`
         parts = [prefix] * (3 * len(series.days))
         parts[1::3] = map(day_cells.__getitem__, series.days)
         parts[2::3] = map(count_cells.__getitem__, series.counts)
-        chunks.append("".join(parts))
-    return "".join(chunks)
+        return "".join(parts)
+
+    return itertools.chain([ingest.render_csv(["series_id", "date", "views", "log_views"], [])],
+                           map(rows, series_list))
 
 
 def cmd_attention(args) -> None:
@@ -359,7 +383,7 @@ def _option(convert):
 def _positive_int(text: str) -> int:
     value = ingest.ascii_int(text)
     if value < 1:
-        raise ValueError(f"not a positive integer: {text!r}")
+        raise ValueError(f"not a positive integer: {ingest.shown(text)}")
     return value
 
 

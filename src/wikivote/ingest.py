@@ -256,7 +256,7 @@ def iso_date(text: str) -> date:
     """A `YYYY-MM-DD` date of ASCII digits; date.fromisoformat alone accepts
     other forms, such as `20140501`, on some Python versions and not on others."""
     if not _ISO_DATE.fullmatch(text):
-        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+        raise ValueError(f"not a YYYY-MM-DD date: {shown(text)}")
     return date.fromisoformat(text)
 
 
@@ -266,17 +266,18 @@ def ascii_int(text: str) -> int:
     their own message; int alone also takes `1_010`, ` 7 `, `+5` and
     non-ASCII digits such as `١٠`.
 
-    The bound is tested on the digit string, before int() reads it: int()
-    refuses a string of over 4 300 digits with a message of its own. The
-    error gives the number of digits, not the value.
+    The bound is tested on the digits without leading zeros, and int() reads
+    only those: int() refuses a string of over 4 300 characters with a message
+    of its own. The error gives the number of digits, not the value.
     """
     if not _ASCII_INT.fullmatch(text):
-        raise ValueError(f"not an integer of ASCII digits: {text!r}")
+        raise ValueError(f"not an integer of ASCII digits: {shown(text)}")
     digits = text.removeprefix("-").lstrip("0")
     # without leading zeros, (length, text) orders digit strings as their values
     if (len(digits), digits) > (len(_MAX_COUNT), _MAX_COUNT):
         raise ValueError(f"a {len(digits)}-digit count is too large (at most 2**63 - 1)")
-    return int(text)
+    value = int(digits or "0")
+    return -value if text[0] == "-" else value
 
 
 def ascii_float(text: str) -> float:
@@ -284,23 +285,34 @@ def ascii_float(text: str) -> float:
     an optional leading `-`; float alone also takes `2_9.0`, ` 29 `, `+5` and
     non-ASCII digits such as `٢٥.8`."""
     if not _ASCII_FLOAT.fullmatch(text):
-        raise ValueError(f"not a decimal of ASCII digits: {text!r}")
+        raise ValueError(f"not a decimal of ASCII digits: {shown(text)}")
     return float(text)
 
 
 _MAX_COUNT = str(2**63 - 1)  # what array("q") holds
+# the most characters of a rejected value that its error message repeats
+_SHOWN = 40
+
+
+def shown(text: str) -> str:
+    """text quoted for an error message: its repr, or past _SHOWN characters
+    the repr of its first _SHOWN and its length, so a huge cell or option is
+    not echoed whole."""
+    if len(text) <= _SHOWN:
+        return repr(text)
+    return f"{text[:_SHOWN]!r}... ({len(text)} characters)"
 
 
 def _flag(text: str) -> bool:
     if text not in ("0", "1"):
-        raise ValueError(f"must be 0 or 1, got {text!r}")
+        raise ValueError(f"must be 0 or 1, got {shown(text)}")
     return text == "1"
 
 
 def _finite_float(text: str) -> float:
     value = ascii_float(text)
     if not math.isfinite(value):
-        raise ValueError(f"must be a finite number, got {text!r}")
+        raise ValueError(f"must be a finite number, got {shown(text)}")
     return value
 
 
@@ -471,10 +483,11 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
                 views = (int(views_text) if views_text.isdigit() and views_text.isascii()
                          else ascii_int(views_text))
             except ValueError:
-                # the schema's converters raise the RowError read_table would, naming the column
-                _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
-                               PAGEVIEWS_SCHEMA, "page-view")
-                raise
+                # the schema's converters raise the RowError read_table would, naming the
+                # column, or read what int() refused, such as a count padded past 4 300 zeros
+                _, _, day, views = _convert_cells(
+                    reader.line_num, (row_project, row_title, day_text, views_text),
+                    PAGEVIEWS_SCHEMA, "page-view")
             if row_title != title or row_project != project:
                 if not row_project or not row_title:
                     raise RowError(reader.line_num, "empty wiki_project or page_title")

@@ -1,12 +1,15 @@
 """Command-line behavior: formats, exit codes, determinism, partial-file rules."""
 
+import argparse
 import contextlib
 import csv
 import io
 import json
 import math
+import random
 import re
-from datetime import date
+import tracemalloc
+from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
@@ -15,7 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, pageview_payload
-from wikivote.cli import _atomic_write, main
+from wikivote.cli import _atomic_write, _atomic_write_chunks, _run, main
 from wikivote.ingest import (MAX_BACKOFF_BASE, MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy,
                              PageViewSeries, render_pageviews_csv)
 
@@ -411,6 +414,35 @@ class TestAttentionCommand:
         assert manifest["status"] == "ok" and manifest["errors"] == []
         assert manifest["outputs"] == ["attention_dynamics.json", "attention_series.csv"]
 
+    def test_plot_csv_is_not_held_whole(self, tmp_path, capsys):
+        # 300 pages of a year each: a hump on the election near a baseline of a few views
+        rng = random.Random(1)
+        days = [(date(2014, 1, 1) + timedelta(days=i)).isoformat() for i in range(365)]
+        lines = ["wiki_project,page_title,date,views\n"]
+        for page in range(300):
+            peak, up, down = rng.uniform(3e5, 1e6), rng.uniform(0.08, 0.15), rng.uniform(0.15, 0.3)
+            for i, day in enumerate(days):
+                rate = up if i <= 143 else down
+                views = round(2 + peak * math.exp(-rate * abs(i - 143)) * rng.uniform(0.98, 1.02))
+                lines.append(f"aa.wikipedia,Party {page},{day},{views}\n")
+        views_csv = tmp_path / "views.csv"
+        views_csv.write_text("".join(lines))
+        del lines
+        out = tmp_path / "att"
+        import wikivote.forecast  # noqa: F401  numpy is loaded before tracing: not the CSV's cost
+        tracemalloc.start()
+        try:
+            code = main(["attention", "--pageviews", str(views_csv),
+                         "--election-date", "2014-05-25", "--output-dir", str(out)])
+            peak_bytes = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert capsys.readouterr().err == "attention: 300 series analysed, 0 failed\n"
+        size = (out / "attention_series.csv").stat().st_size
+        # holding the text whole, as one str and then its UTF-8 bytes, peaks at over 2.5x
+        assert peak_bytes < 1.5 * size, (peak_bytes, size)
+
     def test_all_failures_is_data_error(self, tmp_path, capsys):
         views = tmp_path / "views.csv"
         views.write_text(
@@ -498,6 +530,26 @@ class TestManifest:
         # in parser order, the order the manifest's bytes depend on
         assert list(manifest["config"].items()) == list(config.items())
 
+    def test_chunked_and_str_files_are_written_in_order(self, tmp_path):
+        seen_later_file = []
+
+        def chunks():
+            yield "h\n"
+            yield "1\n"
+            seen_later_file.append((tmp_path / "a.json").exists())
+
+        args = argparse.Namespace(command="demo", output_dir=str(tmp_path), window_days=7)
+        with _run(args) as (files, _):
+            files["b.csv"] = chunks()
+            files["a.json"] = "[]\n"
+            assert seen_later_file == []  # chunks are taken only when the file is written
+        assert seen_later_file == [False]  # in files order, though "b.csv" sorts last
+        assert (tmp_path / "b.csv").read_text() == "h\n1\n"
+        assert (tmp_path / "a.json").read_text() == "[]\n"
+        assert json.loads((tmp_path / "manifest.json").read_text()) == {
+            "command": "demo", "config": {"window_days": 7}, "status": "ok",
+            "outputs": ["b.csv", "a.json"], "errors": []}
+
 
 class TestFailedRun:
     """A failed fit, report or attention run replaces the manifest an earlier
@@ -532,6 +584,20 @@ class TestAtomicWrite:
             _atomic_write(path, "new \ud800\n")  # a lone surrogate has no UTF-8 form
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["report.csv"]
+
+    def test_chunks_that_fail_midway_keep_the_old_file_and_leave_no_temp_file(self, tmp_path):
+        path = tmp_path / "series.csv"
+        _atomic_write(path, "old\n")
+
+        def chunks():
+            yield "header\n"
+            yield "row\n" * 10_000  # past the text buffer: some bytes reach the temp file
+            raise RuntimeError("chunk failed")
+
+        with pytest.raises(RuntimeError, match="chunk failed"):
+            _atomic_write_chunks(path, chunks())
+        assert path.read_text() == "old\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
 
 
 EMPTY_PAGE_CELL = "malformed page list row: empty wiki_project or page_title"
@@ -1124,6 +1190,65 @@ class TestStrictIntegers:
         assert err.endswith(f" error: argument {argv[-1]}: a {digits}-digit count is too large "
                             "(at most 2**63 - 1)\n")
         assert len(err.encode()) < 300
+
+    def test_integer_option_padded_past_int_limit_is_read_as_its_value(self, tmp_path):
+        # int() alone refuses a text of over 4 300 characters, whatever its value
+        zeros = "0" * 5000
+        code, err = run([*INGEST, "--retry-limit", zeros + "11"])
+        assert (code, err.splitlines()[-1]) == (
+            2, "wikivote ingest: error: retry_limit must be from 0 to 10, got 11")
+        feature_args = ["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--out"]
+        assert main([*feature_args, str(tmp_path / "plain.csv"), "--window-days", "7"]) == 0
+        assert main([*feature_args, str(tmp_path / "padded.csv"),
+                     "--window-days", zeros + "7"]) == 0
+        assert (tmp_path / "padded.csv").read_bytes() == (tmp_path / "plain.csv").read_bytes()
+
+    def test_view_count_padded_past_int_limit_is_read_as_its_value(self, tmp_path, capsys):
+        lines = Path(GENERAL).read_text().splitlines(keepends=True)
+        project, title, day, views = lines[1].rstrip("\n").split(",")
+        padded = tmp_path / "views.csv"
+        padded.write_text("".join([lines[0], f"{project},{title},{day},{'0' * 5000}{views}\n",
+                                   *lines[2:]]))
+        for path, out in ((GENERAL, "plain"), (padded, "padded")):
+            assert main(["attention", "--pageviews", str(path), "--election-date", "2014-05-25",
+                         "--output-dir", str(tmp_path / out)]) == 0
+        capsys.readouterr()
+        for name in ("attention_dynamics.json", "attention_series.csv"):
+            assert (tmp_path / "padded" / name).read_bytes() == (
+                tmp_path / "plain" / name).read_bytes()
+
+    @pytest.mark.parametrize("argv,char", [
+        ([*INGEST, "--start"], "x"),
+        ([*INGEST, "--retry-limit"], "x"),
+        ([*INGEST, "--backoff-base"], "x"),
+        (["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"], "x"),
+        # an integer, but not a positive one
+        (["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS, "--window-days"], "0"),
+    ], ids=["start", "retry-limit", "backoff-base", "window-days", "window-days-zero"])
+    def test_rejected_long_option_is_not_echoed_whole(self, argv, char):
+        code, err = run([*argv, char * 5000])
+        assert code == 2
+        assert err.endswith(f" {char * 40!r}... (5000 characters)\n")
+        assert len(err.encode()) < 300
+
+    @pytest.mark.parametrize("kind,column,char,message", [
+        ("pageviews", "date", "x", "not a YYYY-MM-DD date:"),
+        ("pageviews", "views", "x", "not an integer of ASCII digits:"),
+        ("parties", "vote_share", "x", "not a decimal of ASCII digits:"),
+        ("parties", "is_new", "x", "must be 0 or 1, got"),
+        ("turnout", "turnout_curr", "9", "must be a finite number, got"),  # float() gives inf
+    ], ids=["date", "views", "vote_share", "is_new", "turnout_curr"])
+    def test_rejected_long_cell_is_not_echoed_whole(self, tmp_path, kind, column, char, message):
+        text = char * 5000
+        header, good, argv = INPUT_KINDS[kind]
+        bad = next(csv.reader([good]))
+        bad[next(csv.reader([header])).index(column)] = text
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(header + good + ",".join(bad) + "\n")
+        what = {"pageviews": "page-view", "parties": "party"}.get(kind, kind)
+        assert run(argv(str(path))) == (
+            3, f"wikivote: line 3: malformed {what} row: {column}: {message} "
+               f"{text[:40]!r}... (5000 characters)\n")
 
     @pytest.mark.parametrize("kind,row,fragment", [
         ("pageviews", "aa.wikipedia,X,2014-05-19,-4\n", "negative view count -4"),

@@ -556,6 +556,20 @@ class TestReadTable:
         with pytest.raises(RowError, match=r"^line 2002: turnout file .* is not UTF-8"):
             read_table(path, TURNOUT_SCHEMA, "turnout", tuple)
 
+    def test_integer_cells_padded_past_int_limit_keep_their_values(self, tmp_path):
+        # int() alone refuses a text of over 4 300 characters, whatever its value
+        zeros = "0" * 5000
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "language_edition,views_prev,views_curr,turnout_prev,turnout_curr,outlier\n"
+            f"lang01,{zeros}100,-{zeros}120,50.0,51.0,0\n"
+            f"lang02,{zeros},-{zeros},50.0,51.0,0\n"
+        )
+        assert read_table(path, TURNOUT_SCHEMA, "turnout", tuple) == [
+            ("lang01", 100, -120, 50.0, 51.0, False),
+            ("lang02", 0, 0, 50.0, 51.0, False),
+        ]
+
     @given(x=st.floats(allow_nan=False, allow_infinity=False))
     @settings(max_examples=200)
     def test_decimal_cells_keep_the_values_float_reads(self, x):
