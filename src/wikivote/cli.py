@@ -33,7 +33,7 @@ from pathlib import Path
 
 from . import features as feats
 from . import grid, ingest
-from .errors import DataError, NetworkError
+from .errors import ComputationError, DataError, NetworkError
 from .model import validate_dataset
 
 EXIT_OK = 0
@@ -242,8 +242,9 @@ def cmd_predict(args) -> None:
     report = forecast.fit_model(training, spec)
     scenario = ingest.load_scenario_csv(args.scenario)
 
+    fitted = forecast.fitted_rows(training, spec)
     training_range = {
-        c: (min(getattr(r, c) for r in training), max(getattr(r, c) for r in training))
+        c: (min(getattr(r, c) for r in fitted), max(getattr(r, c) for r in fitted))
         for c in spec.covariates
     }
     low, high = spec.outcome_range
@@ -361,7 +362,12 @@ def cmd_report(args) -> None:
             "wiki_vs_vote_share": ([r.wiki_share for r in rows], [r.vote_share for r in rows]),
             "news_vs_wiki": ([r.news_share for r in rows], [r.wiki_share for r in rows]),
         }
-        correlations = {name: asdict(stats.pearson(x, y)) for name, (x, y) in pairs.items()}
+        correlations = {}
+        for name, (x, y) in pairs.items():
+            try:
+                correlations[name] = asdict(stats.pearson(x, y))
+            except ComputationError as exc:
+                raise ComputationError(f"{name}: {exc}") from exc
         files["report_correlations.json"] = _json(correlations)
 
         files["report_scatter.csv"] = _feature_csv(

@@ -20,7 +20,7 @@ from .features import FeatureRow, calendar_window, relative_change, subset_small
 from .grid import ATTENTION_WINDOW_DAYS, BASE_TERMS, MIN_FIT_DAYS, MODEL_IDS, ModelSpec
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
-from .stats import CorrelationResult, DesignMatrix, FitResult, ols_fit, pearson
+from .stats import CorrelationResult, DesignMatrix, FitResult, centred, ols_fit, pearson
 
 
 @dataclass(frozen=True)
@@ -103,6 +103,11 @@ def _design(rows, spec: ModelSpec) -> np.ndarray:
     return np.column_stack(columns)
 
 
+def fitted_rows(rows: list[FeatureRow], spec: ModelSpec) -> list[FeatureRow]:
+    """The rows spec is fitted on: the small-party subset, or all of them."""
+    return subset_small(rows) if spec.subset == "small_parties" else list(rows)
+
+
 def build_design_matrix(
     rows: list[FeatureRow], spec: ModelSpec
 ) -> tuple[DesignMatrix, np.ndarray]:
@@ -111,7 +116,7 @@ def build_design_matrix(
     A constant non-intercept column draws a warning here and a named failure
     in the fit.
     """
-    used = subset_small(rows) if spec.subset == "small_parties" else list(rows)
+    used = fitted_rows(rows, spec)
     x = DesignMatrix(values=_design(used, spec), column_names=spec.term_names)
     for name, column in zip(x.column_names[1:], x.values.T[1:]):
         if np.ptp(column) == 0.0:
@@ -144,10 +149,8 @@ def _studentized_residuals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     scale of x, and call a line through x of range ~1e12 rank deficient.
     """
     n = len(x)
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    resid = dy - (float(dx @ dy) / sxx) * dx
+    dx, dy, sxx, sxy, _ = centred(x, y)
+    resid = dy - (sxy / sxx) * dx
     s2 = float(resid @ resid) / (n - 2)
     hat = 1.0 / n + dx * dx / sxx
     denom = np.sqrt(np.maximum(s2 * (1.0 - hat), 1e-300))
@@ -189,9 +192,12 @@ def turnout_analysis(
 
 
 def _log_linear_rate(
-    days: Sequence[date], counts: Sequence[int], origin: date
+    days: Sequence[date], counts: Sequence[int], origin: date, what: str
 ) -> tuple[float, float]:
-    """Slope and r² of ln(views) against day offsets; zero-count days dropped."""
+    """Slope and r² of ln(views) against day offsets; zero-count days dropped.
+
+    A failure is prefixed by what, which names the series and the side.
+    """
     t, logv = [], []
     for day, count in zip(days, counts):
         if count > 0:
@@ -199,15 +205,10 @@ def _log_linear_rate(
             logv.append(math.log(count))
     if len(t) < MIN_FIT_DAYS:
         raise ComputationError(
-            f"fewer than {MIN_FIT_DAYS} positive-count days for the rate fit"
+            f"{what}: fewer than {MIN_FIT_DAYS} positive-count days for the rate fit"
         )
-    t_arr = np.array(t)
-    v_arr = np.array(logv)
-    dt = t_arr - t_arr.mean()
-    dv = v_arr - v_arr.mean()
-    stt = float(dt @ dt)
-    slope = float(dt @ dv) / stt
-    svv = float(dv @ dv)
+    dt, _, stt, stv, svv = centred(np.array(t), np.array(logv))
+    slope = stv / stt
     if svv == 0.0:
         return slope, 0.0
     fitted = slope * dt
@@ -226,30 +227,27 @@ def attention_dynamics(
     break to the earliest date). Each side is fitted log-linearly over
     window_days days, skipping zero-count days rather than imputing.
     """
+    name = f"{series.wiki_project}/{series.page_title}"
     window_start, window_end = calendar_window(series, election_date, -window_days, window_days)
     days, counts = series.days, series.counts
     lo = bisect_left(days, window_start)
     hi = bisect_right(days, window_end, lo)
     if lo == hi:
-        raise ComputationError(
-            f"{series.wiki_project}/{series.page_title}: no data within "
-            f"{window_days} days of {election_date}"
-        )
+        raise ComputationError(f"{name}: no data within {window_days} days of {election_date}")
     # max keeps the first of equal counts, and days increase: a tie goes to the earliest date
     peak = max(range(lo, hi), key=counts.__getitem__)
     peak_date = days[peak]
     if peak_date in (window_start, window_end):
-        raise ComputationError(
-            f"{series.wiki_project}/{series.page_title}: peak not interior "
-            f"(falls on {peak_date})"
-        )
+        raise ComputationError(f"{name}: peak not interior (falls on {peak_date})")
 
     # fit windows hang off the peak, not the search window
     fit_start, fit_end = calendar_window(series, peak_date, -window_days, window_days)
     up = bisect_left(days, fit_start, 0, peak)
     down = bisect_right(days, fit_end, peak)
-    up_slope, up_r2 = _log_linear_rate(days[up:peak], counts[up:peak], peak_date)
-    down_slope, down_r2 = _log_linear_rate(days[peak + 1:down], counts[peak + 1:down], peak_date)
+    up_slope, up_r2 = _log_linear_rate(days[up:peak], counts[up:peak], peak_date,
+                                       f"{name}: build-up")
+    down_slope, down_r2 = _log_linear_rate(days[peak + 1:down], counts[peak + 1:down], peak_date,
+                                           f"{name}: decay")
     return AttentionDynamics(
         peak_date=peak_date,
         lambda_up=up_slope,

@@ -349,7 +349,7 @@ def _table(path, schema, what: str):
 
     Columns are found by header name, so their order is free and extra
     columns are ignored: indices holds the row index of each schema column,
-    in schema order. A missing column raises SchemaError.
+    in schema order. A schema column missing or named twice raises SchemaError.
     Inside the block, a csv.Error (say, a field over the csv module's size
     limit) becomes RowError with the reader's line, and a file that is not
     UTF-8 RowError with the line of its first undecodable byte. A leading
@@ -362,6 +362,9 @@ def _table(path, schema, what: str):
             missing = [name for name, _ in schema if name not in header]
             if missing:
                 raise SchemaError(f"{path}, line 1: missing columns {', '.join(missing)}")
+            repeated = [name for name, _ in schema if header.count(name) > 1]
+            if repeated:
+                raise SchemaError(f"{path}, line 1: repeated columns {', '.join(repeated)}")
             yield reader, [header.index(name) for name, _ in schema]
         except csv.Error as exc:
             raise RowError(reader.line_num, f"malformed {what} row: {exc}") from None

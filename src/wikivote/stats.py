@@ -234,27 +234,18 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, BETA_CF_MAX_ITER + 1):
         m2 = 2 * m
-        # even step
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        # odd step
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even step's partial numerator, then the odd step's
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < BETA_CF_TOL:
             return h
     raise ComputationError("incomplete beta continued fraction did not converge")
@@ -320,6 +311,13 @@ def student_t_critical(alpha_two_sided: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
+def centred(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """dx, dy (x and y less their means) and the sums Sxx, Sxy, Syy of a line fit."""
+    dx = x - x.mean()
+    dy = y - y.mean()
+    return dx, dy, float(dx @ dx), float(dx @ dy), float(dy @ dy)
+
+
 def pearson(x, y, *, sides: str = "two") -> CorrelationResult:
     """Sample Pearson correlation with a Student-t significance test."""
     x = np.asarray(x, dtype=float)
@@ -329,13 +327,10 @@ def pearson(x, y, *, sides: str = "two") -> CorrelationResult:
     n = len(x)
     if n < 3:
         raise ComputationError(f"need at least 3 observations, got {n}")
-    dx = x - x.mean()
-    dy = y - y.mean()
-    sxx = float(dx @ dx)
-    syy = float(dy @ dy)
+    _, _, sxx, sxy, syy = centred(x, y)
     if sxx == 0.0 or syy == 0.0:
         raise ComputationError("zero variance: correlation undefined for constant input")
-    r = float(dx @ dy) / math.sqrt(sxx * syy)
+    r = sxy / math.sqrt(sxx * syy)
     r = max(-1.0, min(1.0, r))
     df = n - 2
     if abs(r) >= 1.0:

@@ -258,6 +258,14 @@ class TestPredictCommand:
         assert self.predict_rows(tmp_path, capsys, "1.0", rows)["viral"][1] == [""]
         assert "extrapolated" in self.predict_rows(tmp_path, capsys, "1.1", rows)["viral"][1]
 
+    @pytest.mark.parametrize("model", ["1.3", "2.3"])
+    def test_ranges_are_those_of_the_fitted_subset(self, tmp_path, capsys, model):
+        # x.3 is fitted on the 35 small-party rows, whose largest wiki_share is under 25
+        rows = ["x1,20.0,25.0,0,1\n", "x2,5.5,12.0,1,0\n"]
+        out = self.predict_rows(tmp_path, capsys, model, rows)
+        assert out["x1"][1] == ["extrapolated"]
+        assert out["x2"][1] == [""]
+
     def test_empty_scenario_gives_header_only(self, tmp_path, capsys):
         scenario = self.scenario(tmp_path, [])
         assert main(["predict", "--dataset", PARTIES, "--pageviews", PAGEVIEWS,
@@ -401,6 +409,30 @@ class TestAttentionCommand:
         assert by_id["aa.wikipedia:Good"]["status"] == "ok"
         assert by_id["bb.wikipedia:Stale"]["status"] == "error"
 
+    def test_rate_fit_error_names_series_and_side(self, tmp_path, capsys):
+        views = tmp_path / "views.csv"
+        lines = ["wiki_project,page_title,date,views\n"]
+        for day in range(1, 29):
+            lines.append(f"aa.wikipedia,Good,2014-05-{day:02d},{1000 + day * 50}\n")
+        for day in range(10, 20):
+            lines.append(f"aa.wikipedia,Good,2014-06-{day:02d},{200 - day}\n")
+        # no views before its peak on the election day
+        for day in range(1, 31):
+            views_on_day = 0 if day < 25 else 5000 - 100 * day
+            lines.append(f"bb.wikipedia,Late,2014-05-{day:02d},{views_on_day}\n")
+        views.write_text("".join(lines))
+        out = tmp_path / "att"
+        assert main(["attention", "--pageviews", str(views), "--election-date", "2014-05-25",
+                     "--output-dir", str(out)]) == 0
+        capsys.readouterr()
+        message = ("bb.wikipedia/Late: build-up: fewer than 5 positive-count days for the "
+                   "rate fit")
+        by_id = {r["series_id"]: r for r in
+                 json.loads((out / "attention_dynamics.json").read_text())}
+        assert by_id["bb.wikipedia:Late"] == {
+            "series_id": "bb.wikipedia:Late", "status": "error", "error": message}
+        assert json.loads((out / "manifest.json").read_text())["errors"] == [message]
+
     def test_header_only_file_writes_empty_outputs(self, tmp_path, capsys):
         views = tmp_path / "views.csv"
         views.write_text("wiki_project,page_title,date,views\n")
@@ -486,7 +518,20 @@ class TestReportCommand:
         parties.write_text(PARTY_HEADER)
         assert main(["report", "--dataset", str(parties), "--pageviews", PAGEVIEWS,
                      "--output-dir", str(tmp_path / "rep")]) == 3
-        assert capsys.readouterr().err == "wikivote: need at least 3 observations, got 0\n"
+        assert capsys.readouterr().err == (
+            "wikivote: news_vs_vote_share: need at least 3 observations, got 0\n")
+
+    def test_failed_correlation_is_named(self, tmp_path, capsys):
+        # five parties of one election, two of them under 15%: the small-party pair has 2 rows
+        parties = tmp_path / "parties.csv"
+        with open(PARTIES, encoding="utf-8") as handle:
+            parties.write_text("".join(handle.readlines()[:6]))
+        out = tmp_path / "rep"
+        assert main(["report", "--dataset", str(parties), "--pageviews", PAGEVIEWS,
+                     "--output-dir", str(out)]) == 3
+        message = "news_vs_vote_share_small: need at least 3 observations, got 2"
+        assert capsys.readouterr().err == f"wikivote: {message}\n"
+        assert json.loads((out / "manifest.json").read_text())["errors"] == [message]
 
 
 class TestOptionErrors:

@@ -17,9 +17,12 @@ from wikivote.forecast import (
     ModelReport,
     ModelSpec,
     TurnoutRecord,
+    _log_linear_rate,
+    _studentized_residuals,
     attention_dynamics,
     build_design_matrix,
     fit_model,
+    fitted_rows,
     predict,
     turnout_analysis,
 )
@@ -110,6 +113,15 @@ class TestBuildDesignMatrix:
             build_design_matrix(rows, ModelSpec.from_id("1.0"))
         flagged = " ".join(str(w.message) for w in captured)
         assert "Incumbency" in flagged and "New Party" in flagged
+
+    @pytest.mark.parametrize("model_id,small_only", [
+        ("1.0", False), ("1.1", False), ("2.0", False), ("2.1", False),
+        ("1.2", True), ("1.3", True), ("2.2", True), ("2.3", True),
+    ])
+    def test_fitted_rows_are_the_subset_of_the_spec(self, demo_features, model_id, small_only):
+        rows = fitted_rows(demo_features, ModelSpec.from_id(model_id))
+        assert rows == (subset_small(demo_features) if small_only else demo_features)
+        assert len(rows) == (35 if small_only else 59)
 
     def test_empty_subset_is_an_error(self):
         rows = [feature_row(f"p{i}", share=20.0 + i) for i in range(6)]
@@ -262,6 +274,20 @@ class TestTurnoutAnalysis:
         assert len(got) == 12
         assert np.allclose(got, expected, rtol=1e-10, atol=1e-12)
 
+    def test_residuals_equal_the_written_out_formulas(self):
+        # the sums come from stats.centred; these are the same operations in the same order
+        rng = np.random.default_rng(7)
+        for n in (3, 12, 500):
+            x, y = rng.normal(size=n) * 1e3, rng.normal(size=n)
+            dx = x - x.mean()
+            dy = y - y.mean()
+            sxx = float(dx @ dx)
+            resid = dy - (float(dx @ dy) / sxx) * dx
+            s2 = float(resid @ resid) / (n - 2)
+            hat = 1.0 / n + dx * dx / sxx
+            expected = resid / np.sqrt(np.maximum(s2 * (1.0 - hat), 1e-300))
+            assert _studentized_residuals(x, y).tolist() == expected.tolist()
+
     def test_needs_three_included_records(self):
         records = self.perfect_records()[:2] + [
             turnout_record("x", 100, 200, 50.0, 60.0, outlier=True)
@@ -354,6 +380,29 @@ class TestAttentionDynamics:
         series = PageViewSeries("aa.wikipedia", "X", daily)
         with pytest.raises(ComputationError, match="positive-count"):
             attention_dynamics(series, ELECTION, window_days=8)
+
+    def test_rate_fit_error_names_the_series_and_the_side(self):
+        # a full build-up, then zero views after the peak
+        daily = {ELECTION + timedelta(days=o): (1000 + 100 * o if o <= 0 else 0)
+                 for o in range(-8, 9)}
+        series = PageViewSeries("aa.wikipedia", "X", daily)
+        with pytest.raises(ComputationError, match=(
+                "^aa.wikipedia/X: decay: fewer than 5 positive-count days for the rate fit$")):
+            attention_dynamics(series, ELECTION + timedelta(days=1), window_days=8)
+
+    def test_rate_equals_the_written_out_formulas(self):
+        # the sums come from stats.centred; these are the same operations in the same order
+        rng = np.random.default_rng(8)
+        days = [ELECTION + timedelta(days=o) for o in range(-30, 0)]
+        counts = [int(c) for c in rng.integers(0, 5000, size=len(days))]
+        t = np.array([float((d - ELECTION).days) for d, c in zip(days, counts) if c > 0])
+        v = np.array([math.log(c) for c in counts if c > 0])
+        dt = t - t.mean()
+        dv = v - v.mean()
+        slope = float(dt @ dv) / float(dt @ dt)
+        fitted = slope * dt
+        expected = (slope, float(fitted @ fitted) / float(dv @ dv))
+        assert _log_linear_rate(days, counts, ELECTION, "X") == expected
 
     def test_peak_fit_window_leaving_the_calendar_names_the_series(self):
         # the search window around 0001-02-10 fits the calendar; the peak's fit window does not

@@ -290,6 +290,12 @@ class TestPageviewsCsv:
         again = load_pageviews_csv(out)
         assert again == demo_series
 
+    def test_repeated_schema_column_is_rejected(self, tmp_path):
+        path = tmp_path / "v.csv"
+        path.write_text("wiki_project,page_title,date,views,views\naa.wikipedia,X,2014-05-18,3,4\n")
+        with pytest.raises(SchemaError, match=r"^.*v\.csv, line 1: repeated columns views$"):
+            load_pageviews_csv(path)
+
     def test_out_of_order_rows_are_resorted(self, tmp_path):
         path = tmp_path / "v.csv"
         path.write_text(
@@ -524,6 +530,24 @@ class TestReadTable:
             ("lang01", 100, 120, 50.0, 51.0, True),
             ("lang02", 80, 90, 60.0, 61.0, False),
         ]
+
+    def test_repeated_schema_column_is_rejected(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "language_edition,views_prev,views_curr,turnout_prev,turnout_curr,outlier,views_prev\n"
+            "lang01,100,120,50.0,51.0,0,90\n"
+        )
+        with pytest.raises(SchemaError, match=r"^.*t\.csv, line 1: repeated columns views_prev$"):
+            read_table(path, TURNOUT_SCHEMA, "turnout", tuple)
+
+    def test_repeated_column_outside_the_schema_is_ignored(self, tmp_path):
+        path = tmp_path / "t.csv"
+        path.write_text(
+            "note,language_edition,views_prev,views_curr,turnout_prev,turnout_curr,outlier,note\n"
+            "a,lang01,100,120,50.0,51.0,0,b\n"
+        )
+        assert read_table(path, TURNOUT_SCHEMA, "turnout", tuple) == [
+            ("lang01", 100, 120, 50.0, 51.0, False)]
 
     def test_rejected_cell_names_line_and_column(self, tmp_path):
         path = tmp_path / "t.csv"

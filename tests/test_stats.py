@@ -18,6 +18,7 @@ from wikivote.stats import (
     CorrelationResult,
     DesignMatrix,
     _incomplete_beta,
+    centred,
     householder_qr,
     ols_fit,
     pearson,
@@ -391,6 +392,17 @@ class TestPearson:
         assert pearson(x, y, sides="one").p_value == pytest.approx(
             pearson(x, y).p_value / 2.0, rel=1e-12
         )
+
+    def test_r_equals_the_written_out_formula(self):
+        # the sums come from centred; these are the same operations in the same order
+        rng = np.random.default_rng(12)
+        for n in (3, 59, 2400):
+            x, y = rng.normal(size=n), rng.normal(size=n) * 1e6
+            dx = x - x.mean()
+            dy = y - y.mean()
+            expected = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
+            assert pearson(x, y).r == max(-1.0, min(1.0, expected))
+            assert centred(x, y)[2:] == (float(dx @ dx), float(dx @ dy), float(dy @ dy))
 
     def test_rejects_degenerate_input(self):
         # too few rows is a data error (exit 3), like a constant input
