@@ -2,11 +2,14 @@
 
 Subcommands: ingest, features, fit, predict, turnout, attention, report.
 Exit codes, all picked by main: 0 success, 2 usage (from argparse alone, and
-before any input file is read), 3 data problem, 4 network problem.
+before any input file is read), 3 data problem, 4 network problem. main
+prints each warning raised, a curation notice, as one `wikivote: warning:`
+line on stderr.
 
-Only fit, predict, turnout, attention and report compute with numpy: they
-import forecast and stats when they run, so the parser, --help, usage errors,
-features and ingest start without it.
+Only fit, predict, turnout, attention and report compute: they import
+forecast and stats when they run, so the parser, --help, usage errors,
+features and ingest start without compiling and loading them (an eighth of a
+start with no bytecode cache, on a 2-vCPU VM).
 
 Data files are written atomically (temp + rename) and contain no timestamps,
 so identical inputs and config produce byte-identical outputs; run metadata
@@ -25,6 +28,7 @@ import operator
 import os
 import sys
 import tempfile
+import warnings
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -33,7 +37,7 @@ from pathlib import Path
 
 from . import features as feats
 from . import grid, ingest
-from .errors import ComputationError, DataError, NetworkError
+from .errors import ComputationError, CurationWarning, DataError, NetworkError
 from .model import validate_dataset
 
 EXIT_OK = 0
@@ -217,10 +221,9 @@ def cmd_fit(args) -> None:
 
     with _run(args) as (files, _):
         rows = _load_features(args)
-        reports = [
-            forecast.fit_model(rows, grid.ModelSpec.from_id(mid), sides=args.sides)
-            for mid in args.models
-        ]
+        designs: dict = {}  # models 1.k and 2.k share a design, so it is factored once
+        reports = [forecast.fit_model(rows, grid.ModelSpec.from_id(mid), sides=args.sides,
+                                      designs=designs) for mid in args.models]
         docs = [report.to_json_dict() for report in reports]
         for report, doc in zip(reports, docs):
             files[f"model_{report.spec.id}.json"] = _json(doc)
@@ -478,11 +481,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    try:
-        args.func(args)
-    except (DataError, OSError, NetworkError) as exc:
-        print(f"wikivote: {exc}", file=sys.stderr)
-        return EXIT_NETWORK if isinstance(exc, NetworkError) else EXIT_DATA
+    with warnings.catch_warnings():
+        # every notice of this run, though an earlier run in the process raised it too
+        warnings.simplefilter("always", CurationWarning)
+        warnings.showwarning = lambda message, *_: print(f"wikivote: warning: {message}",
+                                                         file=sys.stderr)
+        try:
+            args.func(args)
+        except (DataError, OSError, NetworkError) as exc:
+            print(f"wikivote: {exc}", file=sys.stderr)
+            return EXIT_NETWORK if isinstance(exc, NetworkError) else EXIT_DATA
     return EXIT_OK
 
 

@@ -11,12 +11,11 @@ from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
-
-import numpy as np
+from operator import attrgetter, mul
 
 from .errors import ComputationError, CurationWarning
 from .features import FeatureRow, calendar_window, relative_change, subset_small
-# the grid lives in a numpy-free module; BASE_TERMS and MODEL_IDS stay importable from here
+# the parser reads the grid from its own module; BASE_TERMS and MODEL_IDS stay importable here
 from .grid import ATTENTION_WINDOW_DAYS, BASE_TERMS, MIN_FIT_DAYS, MODEL_IDS, ModelSpec
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
@@ -83,24 +82,21 @@ class AttentionDynamics:
     fit_quality_down: float
 
 
-def _design(rows, spec: ModelSpec) -> np.ndarray:
-    """The design rows of spec over rows, columns in spec.term_names order.
+def _design(rows, spec: ModelSpec) -> list[list[float]]:
+    """The design columns of spec over rows, in spec.term_names order.
 
-    Interactions are elementwise products of the already-built columns. A
-    covariate that is absent or NaN on any row raises ComputationError.
+    Interactions are products of the covariates. A covariate that is None or
+    NaN on any row raises ComputationError.
     """
-    values = {}
-    for field in spec.covariates:
-        column = np.array([getattr(row, field, None) for row in rows], dtype=float)
-        if np.isnan(column).any():
+    covariates = [list(map(attrgetter(field), rows)) for field in spec.covariates]
+    for field, column in zip(spec.covariates, covariates):
+        if None in column or any(map(math.isnan, column)):
             raise ComputationError(f"missing covariate {field!r}")
-        values[field] = column
-    news, new_party, incumbency = values["news_share"], values["new_party"], values["incumbent"]
-    columns = [np.ones(len(rows)), news, new_party, incumbency, news * incumbency]
-    if spec.include_wikipedia:
-        wiki = values["wiki_share"]
-        columns += [wiki, new_party * wiki]
-    return np.column_stack(columns)
+    news, new_party, incumbency, *wiki = covariates
+    columns = [[1.0] * len(rows), news, new_party, incumbency, list(map(mul, news, incumbency))]
+    if wiki:
+        columns += [wiki[0], list(map(mul, new_party, wiki[0]))]
+    return columns
 
 
 def fitted_rows(rows: list[FeatureRow], spec: ModelSpec) -> list[FeatureRow]:
@@ -109,26 +105,33 @@ def fitted_rows(rows: list[FeatureRow], spec: ModelSpec) -> list[FeatureRow]:
 
 
 def build_design_matrix(
-    rows: list[FeatureRow], spec: ModelSpec
-) -> tuple[DesignMatrix, np.ndarray]:
+    rows: list[FeatureRow], spec: ModelSpec, designs: dict | None = None
+) -> tuple[DesignMatrix, list[float]]:
     """Assemble the fixed-order design and response for one model spec.
 
-    A constant non-intercept column draws a warning here and a named failure
-    in the fit.
+    designs, if given, holds the designs built so far by subset and terms: a
+    spec with the rows and terms of an earlier one (1.k and 2.k) takes its
+    DesignMatrix, and with it the factorisation. A constant non-intercept
+    column draws a warning here and a named failure in the fit.
     """
     used = fitted_rows(rows, spec)
-    x = DesignMatrix(values=_design(used, spec), column_names=spec.term_names)
-    for name, column in zip(x.column_names[1:], x.values.T[1:]):
-        if np.ptp(column) == 0.0:
+    designs = {} if designs is None else designs
+    key = (spec.subset, spec.include_wikipedia)
+    if key not in designs:
+        designs[key] = DesignMatrix(None, spec.term_names, columns=_design(used, spec))
+    x = designs[key]
+    for name, column in zip(x.column_names[1:], x.columns[1:]):
+        if column.count(column[0]) == len(column):
             warnings.warn(f"model {spec.id}: column {name!r} is constant", CurationWarning,
                           stacklevel=2)
-    return x, np.array([getattr(r, spec.dependent) for r in used])
+    return x, list(map(attrgetter(spec.dependent), used))
 
 
-def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two") -> ModelReport:
-    """Fit one model spec over the feature rows."""
+def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two",
+              designs: dict | None = None) -> ModelReport:
+    """Fit one model spec over the feature rows; designs as for build_design_matrix."""
     try:
-        fit = ols_fit(*build_design_matrix(rows, spec), sides=sides)
+        fit = ols_fit(*build_design_matrix(rows, spec, designs), sides=sides)
     except ComputationError as exc:
         raise ComputationError(f"model {spec.id}: {exc}") from exc
     return ModelReport(spec=spec, fit=fit)
@@ -137,11 +140,11 @@ def fit_model(rows: list[FeatureRow], spec: ModelSpec, *, sides: str = "two") ->
 def predict(report: ModelReport, new_rows) -> list[float]:
     """Point predictions in the dependent variable's units, unclamped: values
     outside spec.outcome_range come back as they are, for the caller to flag."""
-    return [float(np.dot(design, report.fit.beta))
-            for design in _design(list(new_rows), report.spec)]
+    beta = report.fit.beta
+    return [sum(map(mul, row, beta)) for row in zip(*_design(list(new_rows), report.spec))]
 
 
-def _studentized_residuals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _studentized_residuals(x: Sequence[float], y: Sequence[float]) -> list[float]:
     """Internally studentized residuals of the straight-line fit y ~ x, n >= 3, x not constant.
 
     Closed form from centred x, with leverage h = 1/n + (x - mean x)**2 / Sxx:
@@ -150,11 +153,11 @@ def _studentized_residuals(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """
     n = len(x)
     dx, dy, sxx, sxy, _ = centred(x, y)
-    resid = dy - (sxy / sxx) * dx
-    s2 = float(resid @ resid) / (n - 2)
-    hat = 1.0 / n + dx * dx / sxx
-    denom = np.sqrt(np.maximum(s2 * (1.0 - hat), 1e-300))
-    return resid / denom
+    slope = sxy / sxx
+    resid = [v - slope * u for u, v in zip(dx, dy)]
+    s2 = sum(map(mul, resid, resid)) / (n - 2)
+    return [e / math.sqrt(max(s2 * (1.0 - (1.0 / n + u * u / sxx)), 1e-300))
+            for u, e in zip(dx, resid)]
 
 
 def turnout_analysis(
@@ -174,8 +177,7 @@ def turnout_analysis(
         raise ComputationError(
             f"need at least 3 non-outlier records, got {len(included)}"
         )
-    x = np.array([views for views, _ in included])
-    y = np.array([turnout for _, turnout in included])
+    x, y = zip(*included)
     correlation = pearson(x, y, sides=sides)
     residuals = iter(_studentized_residuals(x, y))
     ratios = tuple(
@@ -184,7 +186,7 @@ def turnout_analysis(
             views_change=views,
             turnout_change=turnout,
             outlier=r.outlier,
-            studentized_residual=None if r.outlier else float(next(residuals)),
+            studentized_residual=None if r.outlier else next(residuals),
         )
         for r, (views, turnout) in zip(records, changes)
     )
@@ -207,13 +209,9 @@ def _log_linear_rate(
         raise ComputationError(
             f"{what}: fewer than {MIN_FIT_DAYS} positive-count days for the rate fit"
         )
-    dt, _, stt, stv, svv = centred(np.array(t), np.array(logv))
+    _, _, stt, stv, svv = centred(t, logv)
     slope = stv / stt
-    if svv == 0.0:
-        return slope, 0.0
-    fitted = slope * dt
-    r2 = float(fitted @ fitted) / svv
-    return slope, r2
+    return slope, slope * stv / svv if svv else 0.0
 
 
 def attention_dynamics(

@@ -1,11 +1,12 @@
-"""The model grid and the analysis constants, without numpy.
+"""The model grid and the analysis constants.
 
 Model ids follow a fixed grid: the 1.x family predicts absolute vote share,
 the 2.x family predicts vote change; x.0/x.1 fit all parties without/with the
 page-view terms, x.2/x.3 repeat that on the small-party subset.
 
 The command line builds its parser from this module alone, so that commands
-which fit nothing (features, ingest, --help, usage errors) never load numpy.
+which fit nothing (features, ingest, --help, usage errors) never load
+forecast and stats.
 """
 
 from __future__ import annotations

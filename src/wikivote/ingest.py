@@ -442,8 +442,8 @@ def render_csv(header, rows) -> str:
     """CSV text of a header row and the rows, each line ending in "\\n".
 
     Cells are values, written as csv.writer writes them: a str as itself,
-    quoted where needed; a float (numpy's too) as its repr, the shortest text
-    that reads back to the same float; a date as YYYY-MM-DD. rows may be any
+    quoted where needed; a float as its repr, the shortest text that reads
+    back to the same float; a date as YYYY-MM-DD. rows may be any
     iterable; a generator is consumed one row at a time.
     """
     buffer = io.StringIO()

@@ -1,17 +1,20 @@
-"""From-scratch least-squares machinery and significance tests.
+"""From-scratch least-squares machinery and significance tests, on plain floats.
 
-Everything here is hand-rolled on top of plain numpy arrays: reduced
-Householder QR with back-substitution for the solve, the R-factor inverse for
-standard errors, and Student-t tail probabilities via the regularized
-incomplete beta function evaluated with a modified Lentz continued fraction.
+Designs are held as columns, lists of floats. Householder QR is applied
+straight to the response (no Q is formed), back-substitution on R gives the
+coefficients and R's inverse the standard errors. Student-t tail probabilities
+come from the regularized incomplete beta function, evaluated with a modified
+Lentz continued fraction.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-
-import numpy as np
+from collections.abc import Iterable, Sequence
+from dataclasses import InitVar, dataclass, field
+from functools import cached_property
+from itertools import chain
+from operator import mul
 
 from .errors import ComputationError, SingularityError
 
@@ -30,34 +33,49 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DesignMatrix:
-    """Dense regression design with an all-ones intercept as first column."""
+    """Dense regression design with an all-ones intercept as first column.
 
-    values: np.ndarray
+    Held as columns of floats: given as they are (values=None, columns=...),
+    or taken from its rows (values: any 2-d iterable of numbers). It is
+    factored on its first fit, and once only, however many responses are
+    fitted to it.
+    """
+
+    values: InitVar[Iterable[Sequence[float]] | None]
     column_names: tuple[str, ...]
+    columns: tuple[list[float], ...] = field(default=(), repr=False, kw_only=True)
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        object.__setattr__(self, "values", values)
-        object.__setattr__(self, "column_names", tuple(self.column_names))
-        if values.ndim != 2:
-            raise ValueError("design matrix must be 2-dimensional")
-        n, k = values.shape
-        if k != len(self.column_names):
+    def __post_init__(self, values):
+        names, columns = tuple(self.column_names), self.columns
+        if values is not None:  # rows, transposed; zip refuses rows of unequal length
+            columns = list(zip(*values, strict=True)) or [()] * len(names)
+        columns = tuple(list(map(float, column)) for column in columns)
+        n, k = len(columns[0]) if columns else 0, len(names)
+        if len(columns) != k or set(map(len, columns)) - {n}:
             raise ValueError("column_names length does not match column count")
-        if not np.isfinite(values).all():
-            raise ValueError("design matrix contains non-finite entries")
-        if not np.all(values[:, 0] == 1.0):
-            raise ValueError("first design column must be the intercept (all ones)")
         if n <= k:
-            raise ComputationError(
-                f"need more rows than columns to fit: n={n}, columns={k}"
-            )
+            raise ComputationError(f"need more rows than columns to fit: n={n}, columns={k}")
+        object.__setattr__(self, "column_names", names)
+        object.__setattr__(self, "columns", columns)
+        if not all(map(math.isfinite, chain.from_iterable(columns))):
+            raise ValueError("design matrix contains non-finite entries")
+        if columns[0].count(1.0) != n:
+            raise ValueError("first design column must be the intercept (all ones)")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.n, len(self.columns)
 
     @property
     def n(self) -> int:
-        return self.values.shape[0]
+        return len(self.columns[0])
+
+    @cached_property
+    def factors(self) -> tuple[list[tuple[int, list[float], float]], list[list[float]]]:
+        """The reflectors and R of householder_qr."""
+        return householder_qr(self)
 
 
 @dataclass(frozen=True)
@@ -79,7 +97,6 @@ class FitResult:
     adj_r2: float
     n: int
     df_resid: int
-    residuals: np.ndarray = field(repr=False)
     sigma2: float
 
     def term(self, name: str) -> TermEstimate:
@@ -89,8 +106,8 @@ class FitResult:
         raise KeyError(name)
 
     @property
-    def beta(self) -> np.ndarray:
-        return np.array([t.beta for t in self.terms])
+    def beta(self) -> list[float]:
+        return [t.beta for t in self.terms]
 
 
 @dataclass(frozen=True)
@@ -101,73 +118,68 @@ class CorrelationResult:
     adj_r2: float
 
 
-def householder_qr(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Reduced QR of a (m x n, m >= n): Q (m x n, orthonormal columns), R (n x n).
+def reflect(reflectors: list[tuple[int, list[float], float]], column: list[float]) -> None:
+    """Apply the reflectors of householder_qr in order to column, in place: to
+    a response b they give Q^T b. Reflector (j, v, h) is I - v v^T / h over
+    rows j and below."""
+    for j, v, h in reflectors:
+        tail = column[j:]
+        s = sum(map(mul, v, tail)) / h
+        column[j:] = [entry - s * weight for entry, weight in zip(tail, v)]
 
-    Classic Householder reflections, applied column by column; the reflector
-    sign is chosen to avoid cancellation. The reflectors are kept and applied
-    in reverse to the first n columns of the identity, so Q costs O(mn^2)
-    time and O(mn) memory and no m x m array is formed.
+
+def householder_qr(a) -> tuple[list[tuple[int, list[float], float]], list[list[float]]]:
+    """Householder reflectors and R (n x n, as rows) of a, an m x n matrix,
+    m >= n: a DesignMatrix, or a sequence of its columns.
+
+    Reflector j is (j, v, h = v'v / 2), v over rows j and below, its first
+    sign chosen to avoid cancellation; applied to a response (reflect) they
+    give Q^T of it, so Q is never formed. A column whose R diagonal is below
+    RANK_TOL times the largest raises SingularityError, named as in a
+    DesignMatrix or else by index.
     """
-    a = np.asarray(a, dtype=float)
-    m, n = a.shape
-    p = min(m, n)
-    r = a.copy()
+    names = a.column_names if isinstance(a, DesignMatrix) else None
+    columns = [list(map(float, column)) for column in (a if names is None else a.columns)]
     reflectors = []
-    for j in range(p):
-        x = r[j:, j]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
+    for j, column in enumerate(columns):
+        v = column[j:]
+        norm = math.hypot(*v)
+        if norm == 0.0:
             continue
-        v = x.copy()
-        v[0] += norm_x if x[0] >= 0 else -norm_x
-        v /= np.linalg.norm(v)
-        r[j:, j:] -= 2.0 * np.outer(v, v @ r[j:, j:])
-        reflectors.append((j, v))
-    q = np.eye(m, p)
-    for j, v in reversed(reflectors):
-        q[j:, :] -= 2.0 * np.outer(v, v @ q[j:, :])
-    return q, np.triu(r[:p])
+        column[j] = -norm if v[0] >= 0 else norm
+        v[0] -= column[j]
+        reflectors.append((j, v, -column[j] * v[0]))
+        for later in columns[j + 1:]:
+            reflect(reflectors[-1:], later)
+    r_diag = [abs(column[j]) for j, column in enumerate(columns)]
+    for j, d in enumerate(r_diag):
+        if d < RANK_TOL * max(r_diag) or d == 0.0:
+            raise SingularityError(names[j] if names else f"column {j}")
+    return reflectors, [[0.0] * i + [c[i] for c in columns[i:]] for i in range(len(columns))]
 
 
-def _back_substitute(r: np.ndarray, b: np.ndarray) -> np.ndarray:
-    k = r.shape[0]
-    x = np.zeros(k)
-    for i in range(k - 1, -1, -1):
-        x[i] = (b[i] - r[i, i + 1:] @ x[i + 1:]) / r[i, i]
+def _back_substitute(r: list[list[float]], b: Sequence[float]) -> list[float]:
+    x = [0.0] * len(r)
+    for i in reversed(range(len(r))):
+        x[i] = (b[i] - sum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
     return x
 
 
-def qr_least_squares(values: np.ndarray, y: np.ndarray, column_names=None):
-    """Thin Q, R and the least-squares coefficients of y on the columns of values.
-
-    Raises SingularityError naming the first column whose R diagonal is
-    below RANK_TOL times the largest; column_names=None names it by index.
-    """
-    q, r = householder_qr(values)
-    r_diag = np.abs(np.diag(r))
-    tol = RANK_TOL * float(r_diag.max(initial=0.0))
-    for j, d in enumerate(r_diag):
-        if d < tol or d == 0.0:
-            name = column_names[j] if column_names is not None else f"column {j}"
-            raise SingularityError(str(name))
-    return q, r, _back_substitute(r, q.T @ y)
+def qr_solve(x, y) -> list[float]:
+    """Least-squares solution of min ||y - Xb|| via Householder QR, for X given
+    as rows, at least as many as columns (no intercept required)."""
+    columns, y = list(zip(*x)), list(map(float, y))
+    n, k = len(x), len(columns)
+    if len(y) != n:
+        raise ValueError(f"response length {len(y)} does not match {n} rows")
+    if n < k:
+        raise ValueError(f"design of shape {(n, k)} needs at least as many rows as columns")
+    reflectors, r = householder_qr(columns)
+    reflect(reflectors, y)
+    return _back_substitute(r, y)
 
 
-def qr_solve(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Least-squares solution of min ||y - Xb|| via Householder QR, for a plain
-    array X with at least as many rows as columns (no intercept required)."""
-    values = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    n = values.shape[0]
-    if y.shape != (n,):
-        raise ValueError(f"response length {y.shape} does not match {n} rows")
-    if values.ndim != 2 or n < values.shape[1]:
-        raise ValueError(f"design of shape {values.shape} needs at least as many rows as columns")
-    return qr_least_squares(values, y)[2]
-
-
-def ols_fit(x: DesignMatrix, y: np.ndarray, *, sides: str = "two") -> FitResult:
+def ols_fit(x: DesignMatrix, y, *, sides: str = "two") -> FitResult:
     """Ordinary least squares of y on a DesignMatrix, with the full diagnostic set.
 
     Standard errors come from the R-factor inverse (never explicit normal
@@ -176,40 +188,42 @@ def ols_fit(x: DesignMatrix, y: np.ndarray, *, sides: str = "two") -> FitResult:
     """
     if sides not in ("two", "one"):
         raise ValueError(f"sides must be 'two' or 'one', got {sides!r}")
-    values, names = x.values, x.column_names
-    y = np.asarray(y, dtype=float)
-    n, k = values.shape
-    if y.shape != (n,):
+    y = list(map(float, y))
+    n, k = x.shape
+    if len(y) != n:
         raise ValueError(f"response length {len(y)} does not match {n} rows")
-    if not np.isfinite(y).all():
+    if not all(map(math.isfinite, y)):
         raise ValueError("response contains non-finite entries")
-    sst = float(((y - y.mean()) ** 2).sum())
+    mean = sum(y) / n
+    dy = [v - mean for v in y]
+    sst = sum(map(mul, dy, dy))
     if sst == 0.0:
         raise ComputationError("degenerate response: zero variance in y")
 
-    _, r, beta = qr_least_squares(values, y, names)
-
-    residuals = y - values @ beta
-    ssr = float(residuals @ residuals)
+    reflectors, r = x.factors
+    reflect(reflectors, y)  # y is Q^T y from here on
+    beta = _back_substitute(r, y)
+    # below its first k entries Q^T y is Q^T of the residual vector: their squares sum to ssr
+    ssr = sum(map(mul, y[k:], y[k:]))
     df_resid = n - k
     sigma2 = ssr / df_resid
-    r_inv = np.column_stack([_back_substitute(r, e) for e in np.eye(k)])
-    xtx_inv_diag = (r_inv * r_inv).sum(axis=1)
-    se = np.sqrt(sigma2 * xtx_inv_diag)
+    # column j of R's inverse solves R c = e_j; the diagonal of (X'X)^-1 sums row i's squares
+    r_inv = [_back_substitute(r, [float(i == j) for i in range(k)]) for j in range(k)]
+    se = [math.sqrt(sigma2 * sum(column[i] * column[i] for column in r_inv)) for i in range(k)]
 
     r2 = 1.0 - ssr / sst
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
 
     terms = []
-    for name, b, s in zip(names, beta, se):
+    for name, b, s in zip(x.column_names, beta, se):
         if s > 0.0:
-            t_stat = float(b / s)
+            t_stat = b / s
         else:
             t_stat = math.copysign(math.inf, b) if b != 0.0 else 0.0
         p = student_t_two_sided_p(t_stat, df_resid)
         if sides == "one":
             p /= 2.0
-        terms.append(TermEstimate(name, float(b), float(s), t_stat, p, significance_stars(p)))
+        terms.append(TermEstimate(name, b, s, t_stat, p, significance_stars(p)))
 
     return FitResult(
         terms=tuple(terms),
@@ -217,7 +231,6 @@ def ols_fit(x: DesignMatrix, y: np.ndarray, *, sides: str = "two") -> FitResult:
         adj_r2=adj_r2,
         n=n,
         df_resid=df_resid,
-        residuals=residuals,
         sigma2=sigma2,
     )
 
@@ -251,6 +264,28 @@ def _beta_continued_fraction(a: float, b: float, x: float) -> float:
     raise ComputationError("incomplete beta continued fraction did not converge")
 
 
+def _stirling_tail(z: float) -> float:
+    """lgamma(z) less (z - 1/2) ln z - z + ln(2 pi) / 2, for z >= 10: Stirling's
+    series to its z^-9 term, truncated below 3e-14."""
+    w = 1.0 / (z * z)
+    return (1 / 12 - w * (1 / 360 - w * (1 / 1260 - w * (1 / 1680 - w / 1188)))) / z
+
+
+def _ln_inverse_beta(a: float, b: float) -> float:
+    """lgamma(a + b) - lgamma(a) - lgamma(b), the log of 1 / B(a, b).
+
+    With the larger argument 10 or more, lgamma(sum) less lgamma(larger) comes
+    from Stirling's series, its leading term through log1p: taken as a
+    difference it cancels, by ~1e-9 relative at 5e5.
+    """
+    big, small = max(a, b), min(a, b)
+    if big < 10.0:
+        return math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+    ratio = ((big - 0.5) * math.log1p(small / big) + small * math.log(big + small) - small
+             + _stirling_tail(big + small) - _stirling_tail(big))
+    return ratio - math.lgamma(small)
+
+
 def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
     """The regularized incomplete beta I_x(a, b), a, b > 0, given both x in
     [0, 1] and y = 1 - x.
@@ -268,7 +303,7 @@ def _incomplete_beta(a: float, b: float, x: float, y: float) -> float:
         ln_x, ln_y = math.log(x), math.log1p(-x)
     else:
         ln_x, ln_y = math.log1p(-y), math.log(y)
-    ln_front = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * ln_x + b * ln_y
+    ln_front = _ln_inverse_beta(a, b) + a * ln_x + b * ln_y
     front = math.exp(ln_front)
     if x < (a + 1.0) / (a + b + 2.0):
         return front * _beta_continued_fraction(a, b, x) / a
@@ -311,19 +346,22 @@ def student_t_critical(alpha_two_sided: float, df: float) -> float:
     return 0.5 * (lo + hi)
 
 
-def centred(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+def centred(
+    x: Sequence[float], y: Sequence[float]
+) -> tuple[list[float], list[float], float, float, float]:
     """dx, dy (x and y less their means) and the sums Sxx, Sxy, Syy of a line fit."""
-    dx = x - x.mean()
-    dy = y - y.mean()
-    return dx, dy, float(dx @ dx), float(dx @ dy), float(dy @ dy)
+    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    dx = [v - mean_x for v in x]
+    dy = [v - mean_y for v in y]
+    return dx, dy, sum(map(mul, dx, dx)), sum(map(mul, dx, dy)), sum(map(mul, dy, dy))
 
 
 def pearson(x, y, *, sides: str = "two") -> CorrelationResult:
     """Sample Pearson correlation with a Student-t significance test."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError("x and y must be 1-d vectors of equal length")
+    x = list(map(float, x))
+    y = list(map(float, y))
+    if len(x) != len(y):
+        raise ValueError("x and y must be vectors of equal length")
     n = len(x)
     if n < 3:
         raise ComputationError(f"need at least 3 observations, got {n}")

@@ -117,7 +117,6 @@ class TestFit:
         assert manifest["status"] == "ok"
         assert manifest["config"]["window_days"] == 7
 
-    @pytest.mark.filterwarnings("ignore::UserWarning")
     def test_failed_fit_leaves_no_model_files(self, tmp_path, capsys):
         # constant vote change makes the 2.0 response degenerate
         rows = [
@@ -166,6 +165,20 @@ class TestFit:
 
 
 class TestFeaturesCommand:
+    def test_curation_warnings_are_one_line_each(self, tmp_path, capsys):
+        # arc_p5 and arc_p7 stand in one election each: a share cut below 5% is their best
+        parties = tmp_path / "parties.csv"
+        parties.write_text((DATA_DIR / "demo_parties.csv").read_text()
+                           .replace(",ARC5,0,0,5.7,", ",ARC5,0,0,4.2,")
+                           .replace(",ARC7,1,0,5.7,", ",ARC7,1,0,4.9,"))
+        for _ in range(2):  # a second run in the same process warns again
+            assert main(["features", "--dataset", str(parties), "--pageviews", PAGEVIEWS,
+                         "--out", str(tmp_path / "features.csv")]) == 0
+            assert capsys.readouterr().err == "".join(
+                f"wikivote: warning: party {party} (Arcadia) never clears 5.0% (best {best}%); "
+                "kept, but outside the usual inclusion rule\n"
+                for party, best in (("arc_p5", 4.2), ("arc_p7", 4.9)))
+
     def test_column_order_and_determinism(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         assert main(["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS,
@@ -461,7 +474,6 @@ class TestAttentionCommand:
         views_csv.write_text("".join(lines))
         del lines
         out = tmp_path / "att"
-        import wikivote.forecast  # noqa: F401  numpy is loaded before tracing: not the CSV's cost
         tracemalloc.start()
         try:
             code = main(["attention", "--pageviews", str(views_csv),

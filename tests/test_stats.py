@@ -1,6 +1,7 @@
 """Least-squares and significance machinery against independent references.
 
-Reference values come from numpy.linalg for the linear algebra and from
+Reference values come from numpy.linalg (a test-only dependency) for the
+linear algebra, from mpmath for the far tail of the t distribution, and from
 closed forms / the complementary error function / scipy.stats.t (a test-only
 dependency) for the t distribution, so nothing here is checked against its
 own implementation.
@@ -9,6 +10,7 @@ own implementation.
 import math
 import sys
 import tracemalloc
+from operator import mul
 
 import numpy as np
 import pytest
@@ -23,6 +25,7 @@ from wikivote.stats import (
     ols_fit,
     pearson,
     qr_solve,
+    reflect,
     significance_stars,
     student_t_critical,
     student_t_two_sided_p,
@@ -33,27 +36,55 @@ def random_design(rng, n, k):
     return np.column_stack([np.ones(n), rng.normal(size=(n, k - 1))])
 
 
+def reflected(reflectors, a):
+    """The reflectors applied to each column of a: Q^T a, for Q is never formed."""
+    columns = [list(column) for column in a.T]
+    for column in columns:
+        reflect(reflectors, column)
+    return np.column_stack(columns)
+
+
 class TestHouseholderQR:
+    # householder_qr takes a matrix as its columns: a.T iterates over a's columns
     def test_factors_reproduce_matrix(self):
+        # Q^T a = [R; 0]: the reflectors turn a into R above m - n zero rows
         rng = np.random.default_rng(1)
         for n, k in [(8, 3), (20, 5), (6, 6), (50, 2)]:
             a = rng.normal(size=(n, k))
-            q, r = householder_qr(a)
-            assert np.allclose(q @ r, a, atol=1e-12)
+            reflectors, r = householder_qr(a.T)
+            got = reflected(reflectors, a)
+            assert np.allclose(got[:k], r, atol=1e-12)
+            assert np.allclose(got[k:], 0.0, atol=1e-12)
 
     def test_q_is_orthogonal(self):
+        # Q^T is the reflectors applied to the identity's columns
         rng = np.random.default_rng(2)
         a = rng.normal(size=(12, 4))
-        q, _ = householder_qr(a)
-        assert q.shape == (12, 4)
-        assert np.allclose(q.T @ q, np.eye(4), atol=1e-12)
+        reflectors, _ = householder_qr(a.T)
+        q_t = reflected(reflectors, np.eye(12))
+        assert np.allclose(q_t @ q_t.T, np.eye(12), atol=1e-12)
+        assert np.allclose(q_t[:4] @ a, householder_qr(a.T)[1], atol=1e-12)
 
     def test_r_is_upper_triangular(self):
         rng = np.random.default_rng(3)
         a = rng.normal(size=(9, 4))
-        _, r = householder_qr(a)
-        below = np.tril(r, k=-1)
-        assert np.allclose(below, 0.0, atol=1e-12)
+        _, r = householder_qr(a.T)
+        assert np.array(r).shape == (4, 4)
+        assert (np.tril(r, k=-1) == 0.0).all()
+
+    def test_r_transpose_r_is_x_transpose_x(self):
+        rng = np.random.default_rng(4)
+        for n, k in [(59, 7), (30, 5), (2400, 7)]:
+            x = random_design(rng, n, k)
+            _, r = householder_qr(x.T)
+            assert np.allclose(np.array(r).T @ r, x.T @ x, rtol=1e-12, atol=1e-10)
+
+    def test_a_design_matrix_is_factored_by_its_columns(self):
+        x = random_design(np.random.default_rng(5), 20, 3)
+        dm = DesignMatrix(x, ("Intercept", "a", "b"))
+        assert dm.shape == (20, 3)
+        assert householder_qr(dm) == householder_qr(x.T)
+        assert dm.factors == householder_qr(x.T)
 
 
 class TestQrSolve:
@@ -105,6 +136,17 @@ class TestDesignMatrix:
         with pytest.raises(ComputationError):
             DesignMatrix(values=np.ones((2, 2)), column_names=("Intercept", "x"))
 
+    def test_columns_are_taken_as_given_or_from_the_rows(self):
+        x = random_design(np.random.default_rng(13), 6, 2)
+        from_columns = DesignMatrix(None, ("Intercept", "a"), columns=[list(c) for c in x.T])
+        assert from_columns.columns == DesignMatrix(x, ("Intercept", "a")).columns
+        with pytest.raises(ValueError, match="column_names"):
+            DesignMatrix(None, ("Intercept", "a"), columns=[[1.0] * 6, [2.0] * 5])
+        with pytest.raises(ValueError):
+            DesignMatrix([[1.0, 2.0]] * 5 + [[1.0]], ("Intercept", "a"))
+        with pytest.raises(ValueError, match="column_names"):
+            DesignMatrix([[1.0, 2.0, 3.0]] * 6, ("Intercept", "a"))
+
     def test_rejects_non_finite(self):
         values = np.ones((5, 2))
         values[3, 1] = np.nan
@@ -120,20 +162,25 @@ class TestOlsFit:
         dm = DesignMatrix(values=x, column_names=("Intercept", "a", "b", "c"))
         return dm, y, ols_fit(dm, y)
 
+    @staticmethod
+    def residuals(dm, y, fit):
+        return y - np.column_stack(dm.columns) @ fit.beta
+
     def test_residuals_orthogonal_to_design(self):
         dm, y, fit = self.fit_noisy()
-        assert np.allclose(dm.values.T @ fit.residuals, 0.0, atol=1e-9)
+        assert np.allclose(np.array(dm.columns) @ self.residuals(dm, y, fit), 0.0, atol=1e-9)
 
     def test_residuals_sum_to_zero_with_intercept(self):
-        _, _, fit = self.fit_noisy()
-        assert abs(fit.residuals.sum()) < 1e-9
+        dm, y, fit = self.fit_noisy()
+        assert abs(self.residuals(dm, y, fit).sum()) < 1e-9
 
     def test_diagnostics_match_direct_formulas(self):
         dm, y, fit = self.fit_noisy()
-        ssr = float(fit.residuals @ fit.residuals)
+        residuals = self.residuals(dm, y, fit)
+        ssr = float(residuals @ residuals)
         sst = float(((y - y.mean()) ** 2).sum())
         assert fit.r2 == pytest.approx(1.0 - ssr / sst, abs=1e-12)
-        n, k = dm.values.shape
+        n, k = dm.shape
         assert fit.adj_r2 == pytest.approx(
             1.0 - (1.0 - fit.r2) * (n - 1) / (n - k), abs=1e-12
         )
@@ -142,14 +189,15 @@ class TestOlsFit:
 
     def test_standard_errors_match_covariance_oracle(self):
         dm, y, fit = self.fit_noisy()
-        xtx_inv = np.linalg.inv(dm.values.T @ dm.values)
+        x = np.column_stack(dm.columns)
+        xtx_inv = np.linalg.inv(x.T @ x)
         expected = np.sqrt(fit.sigma2 * np.diag(xtx_inv))
         assert np.allclose([t.se for t in fit.terms], expected, atol=1e-10)
 
     def test_column_scaling_equivariance(self):
         dm, y, fit = self.fit_noisy()
         for c in (0.5, -2.0, 1000.0):
-            scaled = dm.values.copy()
+            scaled = np.column_stack(dm.columns)
             scaled[:, 1] *= c
             fit_c = ols_fit(
                 DesignMatrix(values=scaled, column_names=dm.column_names), y
@@ -169,9 +217,10 @@ class TestOlsFit:
         assert big.r2 >= small.r2 - 1e-12
 
     def test_exact_fit_reports_infinite_t(self):
-        # small integer design where the factorization is exact in floats,
-        # so the residual sum of squares is exactly zero
-        x = np.column_stack([np.ones(4), np.array([3.0, -2.0, -2.0, 1.0])])
+        # small integer design where every step of the factorization is exact
+        # in floats (R = [[-2, 0], [0, -6]]), so the residual sum of squares is
+        # exactly zero
+        x = np.column_stack([np.ones(4), np.array([3.0, 1.0, -5.0, 1.0])])
         y = x @ np.array([1.0, -3.0])
         fit = ols_fit(DesignMatrix(x, ("Intercept", "a")), y)
         term = fit.term("a")
@@ -210,7 +259,8 @@ class TestOlsFit:
             ols_fit(dm, np.full(dm.n, 7.0), sides="left")
 
     def test_large_fit_allocates_thin_factors_only(self):
-        # n = 5 000: an m x m Q alone would take 200 MB; the thin Q takes 280 kB
+        # n = 5 000: an m x m Q alone would take 200 MB; no Q is formed, and the
+        # reflectors and the working columns take ~1.8 MB of float objects
         rng = np.random.default_rng(12)
         n, k = 5_000, 7
         x = random_design(rng, n, k)
@@ -297,8 +347,8 @@ class TestStudentTAgainstScipy:
     formed as 1.0 - x, that cancellation gave relative errors of 4.1e-9 at
     df = 10^6, t = 0.01 and 8e-7 at df >= 10^4, t = 1e-6 (p came out as
     exactly 1). With 1 - x passed in as t^2 / (df + t^2), the largest error
-    left is 5.6e-9 at df = 10^6, t = 1.7: cancellation between lgamma(a + 1/2)
-    and lgamma(a) at a = 5 * 10^5.
+    left was 5.6e-9 at df = 10^6, t = 1.7: cancellation between lgamma(a + 1/2)
+    and lgamma(a) at a = 5 * 10^5, which TestStudentTLargeDf now bounds.
 
     Below the smallest normal float scipy returns 0 where this code keeps a
     subnormal tail (df = 10^5, t = 38 gives 1.0155e-313, as a 50-digit
@@ -329,6 +379,26 @@ class TestStudentTAgainstScipy:
             assert scipy_t.sf(40.0, df) == 0.0
             assert student_t_two_sided_p(40.0, df) == 0.0
             assert student_t_two_sided_p(-40.0, df) == 0.0
+
+
+class TestStudentTLargeDf:
+    """student_t_two_sided_p against a 50-digit mpmath evaluation at large df.
+
+    Taken as a difference, lgamma(df/2 + 1/2) - lgamma(df/2) loses ~1e-9
+    relative at df = 10^6 (5.6e-9 at t = 1.7) and 1.9e-8 at df = 10^7;
+    Stirling's series keeps the error near 1e-11 and 3e-10.
+    """
+
+    @pytest.mark.parametrize("df", [1e4, 1e5, 1e6, 1e7])
+    @pytest.mark.parametrize("t", [0.5, 1.7, 3.0])
+    def test_matches_mpmath(self, df, t):
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(50):
+            df_mp, t_mp = mpmath.mpf(df), mpmath.mpf(t)
+            expected = float(mpmath.betainc(df_mp / 2, mpmath.mpf(1) / 2, 0,
+                                            df_mp / (df_mp + t_mp * t_mp), regularized=True))
+        rtol = 1e-9 if df > 1e6 else 1e-10
+        assert abs(student_t_two_sided_p(t, df) - expected) <= rtol * expected
 
 
 class TestStudentTCritical:
@@ -397,12 +467,13 @@ class TestPearson:
         # the sums come from centred; these are the same operations in the same order
         rng = np.random.default_rng(12)
         for n in (3, 59, 2400):
-            x, y = rng.normal(size=n), rng.normal(size=n) * 1e6
-            dx = x - x.mean()
-            dy = y - y.mean()
-            expected = float(dx @ dy) / math.sqrt(float(dx @ dx) * float(dy @ dy))
-            assert pearson(x, y).r == max(-1.0, min(1.0, expected))
-            assert centred(x, y)[2:] == (float(dx @ dx), float(dx @ dy), float(dy @ dy))
+            x, y = rng.normal(size=n).tolist(), (rng.normal(size=n) * 1e6).tolist()
+            mean_x, mean_y = sum(x) / n, sum(y) / n
+            dx = [v - mean_x for v in x]
+            dy = [v - mean_y for v in y]
+            sxx, sxy, syy = (sum(map(mul, a, b)) for a, b in ((dx, dx), (dx, dy), (dy, dy)))
+            assert pearson(x, y).r == max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
+            assert centred(x, y)[2:] == (sxx, sxy, syy)
 
     def test_rejects_degenerate_input(self):
         # too few rows is a data error (exit 3), like a constant input
