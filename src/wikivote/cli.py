@@ -48,14 +48,22 @@ EXIT_NETWORK = 4
 def _atomic_write_chunks(path: Path, chunks: Iterable[str]) -> None:
     """Write the text chunks to path, one at a time, through a temp file and a rename.
 
-    If making or writing a chunk raises, path keeps its old content and the
-    temp file is removed.
+    The file keeps the permission bits of the file it replaces, or else gets
+    open()'s 0o666 less the umask, not mkstemp's 0o600. If making or writing
+    a chunk raises, path keeps its old content and the temp file is removed.
     """
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
+        try:
+            mode = os.stat(path).st_mode & 0o777
+        except FileNotFoundError:
+            umask = os.umask(0)  # read the umask: set it, then put it back
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -297,10 +305,11 @@ def cmd_turnout(args) -> None:
     _emit("\n".join(lines) + "\n", args.out)
 
 
-def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> Iterator[str]:
+def _render_attention_series(series_list: list[ingest.PageViewSeries],
+                             series_ids: list[str]) -> Iterator[str]:
     """The `series_id,date,views,log_views` plot CSV, the text render_csv would
     give, as the header chunk and then one chunk per series, each joined only
-    when it is taken.
+    when it is taken. series_ids holds the id of each series, in order.
 
     Only the series id can need CSV quoting, so render_csv encodes it once per
     series; the `date,` text of each distinct day and the `views,log_views`
@@ -313,8 +322,8 @@ def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> Iterat
     for views in count_cells:
         count_cells[views] = f"{views},{math.log(views) if views > 0 else ''}\n"
 
-    def rows(series: ingest.PageViewSeries) -> str:
-        prefix = ingest.render_csv([f"{series.wiki_project}:{series.page_title}"], [])[:-1] + ","
+    def rows(series: ingest.PageViewSeries, series_id: str) -> str:
+        prefix = ingest.render_csv([series_id], [])[:-1] + ","
         # each row is three parts: the quoted id and comma, `date,` and `views,log_views\n`
         parts = [prefix] * (3 * len(series.days))
         parts[1::3] = map(day_cells.__getitem__, series.days)
@@ -322,7 +331,7 @@ def _render_attention_series(series_list: list[ingest.PageViewSeries]) -> Iterat
         return "".join(parts)
 
     return itertools.chain([ingest.render_csv(["series_id", "date", "views", "log_views"], [])],
-                           map(rows, series_list))
+                           map(rows, series_list, series_ids))
 
 
 def cmd_attention(args) -> None:
@@ -330,9 +339,9 @@ def cmd_attention(args) -> None:
 
     with _run(args) as (files, errors):
         series_list = ingest.load_pageviews_csv(args.pageviews)
+        series_ids = [f"{series.wiki_project}:{series.page_title}" for series in series_list]
         dynamics: list[dict] = []
-        for series in series_list:
-            series_id = f"{series.wiki_project}:{series.page_title}"
+        for series, series_id in zip(series_list, series_ids):
             try:
                 dyn = forecast.attention_dynamics(series, args.election_date, args.window_days)
                 # its fields in order; asdict would deep-copy each of them
@@ -343,7 +352,7 @@ def cmd_attention(args) -> None:
         if series_list and len(errors) == len(series_list):
             raise DataError(f"attention analysis failed for every series; first: {errors[0]}")
         files["attention_dynamics.json"] = _json(dynamics)
-        files["attention_series.csv"] = _render_attention_series(series_list)
+        files["attention_series.csv"] = _render_attention_series(series_list, series_ids)
     print(f"attention: {len(series_list) - len(errors)} series analysed, {len(errors)} failed",
           file=sys.stderr)
 

@@ -91,9 +91,7 @@ class PageViewSeries:
     counts: array
 
     def __init__(self, wiki_project: str, page_title: str, daily: Mapping[date, int]):
-        days = tuple(daily)
-        if not all(map(operator.lt, days, days[1:])):
-            days = tuple(sorted(days))
+        days = tuple(sorted(daily))  # the one sort of a series' days: linear on sorted keys
         try:
             counts = array("q", map(daily.__getitem__, days))
         except OverflowError:
@@ -110,10 +108,8 @@ class PageViewSeries:
         series._fill(wiki_project, page_title, days, counts)
         return series
 
-    def _fill(self, wiki_project, page_title, days, counts) -> None:
-        for name, value in (("wiki_project", wiki_project), ("page_title", page_title),
-                            ("days", days), ("counts", counts)):
-            object.__setattr__(self, name, value)
+    def _fill(self, wiki_project, page_title, days, counts) -> None:  # past frozen's __setattr__
+        vars(self).update(wiki_project=wiki_project, page_title=page_title, days=days, counts=counts)
 
     @property
     def daily(self) -> DailyView:
@@ -458,7 +454,7 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
 
     One pass over the file appends each row to its page's two columns. Rows
     may arrive in any date order, and a page's rows need not be contiguous;
-    a page whose days went out of order is sorted at the end. Negative
+    PageViewSeries sorts a page whose days went out of order. Negative
     counts, repeated days and malformed rows fail with their line number.
     """
     # per page: [days, counts, latest day, set of its days once they went out of order]
@@ -521,16 +517,9 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
             add_day(day)
     if days is not None:
         pages[project, title][2:] = latest, seen
-    return [_sorted_series(key, days, counts, seen)
+    return [PageViewSeries._from_columns(*key, tuple(days), counts) if seen is None
+            else PageViewSeries(*key, dict(zip(days, counts)))
             for key, (days, counts, _, seen) in sorted(pages.items())]
-
-
-def _sorted_series(key, days, counts, seen) -> PageViewSeries:
-    if seen is not None:  # the days went out of order: sort both columns by day
-        order = sorted(range(len(days)), key=days.__getitem__)
-        days = [days[i] for i in order]
-        counts = array("q", map(counts.__getitem__, order))
-    return PageViewSeries._from_columns(*key, tuple(days), counts)
 
 
 def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:

@@ -6,8 +6,10 @@ import csv
 import io
 import json
 import math
+import os
 import random
 import re
+import stat
 import tracemalloc
 from datetime import date, timedelta
 from pathlib import Path
@@ -655,6 +657,27 @@ class TestAtomicWrite:
             _atomic_write_chunks(path, chunks())
         assert path.read_text() == "old\n"
         assert [p.name for p in tmp_path.iterdir()] == ["series.csv"]
+
+    def test_new_files_take_the_umask_and_a_replaced_file_keeps_its_mode(self, tmp_path, capsys):
+        def modes():
+            return {p.name: stat.S_IMODE(p.stat().st_mode) for p in
+                    [tmp_path / "features.csv", *sorted((tmp_path / "report").iterdir())]}
+
+        feature_args = ["--dataset", PARTIES, "--pageviews", PAGEVIEWS]
+        report = ["report", *feature_args, "--output-dir", str(tmp_path / "report")]
+        umask = os.umask(0o022)
+        try:
+            assert main(["features", *feature_args, "--out", str(tmp_path / "features.csv")]) == 0
+            assert main(report) == 0
+            written = modes()
+            assert written == dict.fromkeys(
+                ["features.csv", "manifest.json", "report_correlations.json",
+                 "report_scatter.csv", "report_shares.csv"], 0o644)
+            (tmp_path / "report" / "report_shares.csv").chmod(0o640)
+            assert main(report) == 0
+        finally:
+            os.umask(umask)
+        assert modes() == {**written, "report_shares.csv": 0o640}
 
 
 EMPTY_PAGE_CELL = "malformed page list row: empty wiki_project or page_title"

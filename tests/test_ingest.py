@@ -306,6 +306,20 @@ class TestPageviewsCsv:
         (series,) = load_pageviews_csv(path)
         assert list(series.daily) == [date(2014, 5, 18), date(2014, 5, 20)]
 
+    def test_interleaved_out_of_order_pages_keep_each_count_with_its_day(self, tmp_path):
+        # (title, day of May 2014, views): both pages go back in time, in turn
+        rows = [("X", 20, 3), ("Y", 19, 40), ("X", 18, 1), ("Y", 20, 60), ("X", 19, 2),
+                ("Y", 18, 50)]
+        path = tmp_path / "v.csv"
+        path.write_text("wiki_project,page_title,date,views\n" + "".join(
+            f"aa.wikipedia,{title},2014-05-{day},{views}\n" for title, day, views in rows))
+        x, y = load_pageviews_csv(path)
+        may = tuple(date(2014, 5, day) for day in (18, 19, 20))
+        assert [(x.days, list(x.counts)), (y.days, list(y.counts))] == [
+            (may, [1, 2, 3]), (may, [50, 40, 60])]
+        # one date object per day, shared by both series
+        assert all(x_day is y_day for x_day, y_day in zip(x.days, y.days))
+
     @pytest.mark.parametrize(
         "row,fragment",
         [
