@@ -36,7 +36,7 @@ from datetime import date
 from pathlib import Path
 
 from . import features as feats
-from . import grid, ingest
+from . import ingest
 from .errors import ComputationError, CurationWarning, DataError, NetworkError
 from .model import validate_dataset
 
@@ -131,11 +131,11 @@ def _load_features(args) -> list[feats.FeatureRow]:
 
 def _model_ids(text: str) -> list[str]:
     ids = [part.strip() for part in text.split(",") if part.strip()]
-    bad = [m for m in ids if m not in grid.MODEL_IDS]
+    bad = [m for m in ids if m not in feats.MODEL_IDS]
     if bad or not ids:
         raise argparse.ArgumentTypeError(
             f"unknown model id(s) {', '.join(bad) or '(none given)'}; "
-            f"valid ids: {', '.join(grid.MODEL_IDS)}"
+            f"valid ids: {', '.join(feats.MODEL_IDS)}"
         )
     repeated = sorted({m for m in ids if ids.count(m) > 1})
     if repeated:
@@ -152,7 +152,7 @@ def _beta_cell(term: stats.TermEstimate) -> str:
 
 
 def _render_text_table(reports: list[forecast.ModelReport]) -> str:
-    all_terms = list(grid.BASE_TERMS + grid.WIKI_TERMS)
+    all_terms = list(feats.BASE_TERMS + feats.WIKI_TERMS)
     header = ["Term"] + [f"Model {r.spec.id}" for r in reports]
     body: list[list[str]] = []
     for name in all_terms:
@@ -230,7 +230,7 @@ def cmd_fit(args) -> None:
     with _run(args) as (files, _):
         rows = _load_features(args)
         designs: dict = {}  # models 1.k and 2.k share a design, so it is factored once
-        reports = [forecast.fit_model(rows, grid.ModelSpec.from_id(mid), sides=args.sides,
+        reports = [forecast.fit_model(rows, feats.ModelSpec.from_id(mid), sides=args.sides,
                                       designs=designs) for mid in args.models]
         docs = [report.to_json_dict() for report in reports]
         for report, doc in zip(reports, docs):
@@ -249,7 +249,7 @@ def cmd_predict(args) -> None:
     from . import forecast
 
     training = _load_features(args)
-    spec = grid.ModelSpec.from_id(args.model)
+    spec = feats.ModelSpec.from_id(args.model)
     report = forecast.fit_model(training, spec)
     scenario = ingest.load_scenario_csv(args.scenario)
 
@@ -450,7 +450,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_fit = sub.add_parser("fit", help="fit model specifications and write reports")
     add_feature_inputs(p_fit)
-    p_fit.add_argument("--models", type=_model_ids, default=",".join(grid.MODEL_IDS),
+    p_fit.add_argument("--models", type=_model_ids, default=",".join(feats.MODEL_IDS),
                        help="comma-separated model ids")
     p_fit.add_argument("--format", choices=["text", "json", "csv"], default="text")
     p_fit.add_argument("--sides", choices=["two", "one"], default="two")
@@ -459,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_predict = sub.add_parser("predict", help="predict outcomes for scenario rows")
     add_feature_inputs(p_predict)
-    p_predict.add_argument("--model", choices=grid.MODEL_IDS, default="1.1",
+    p_predict.add_argument("--model", choices=feats.MODEL_IDS, default="1.1",
                            help="model id to fit and apply")
     p_predict.add_argument("--scenario", required=True, help="scenario CSV")
     p_predict.add_argument("--out", help="output CSV path (default stdout)")
@@ -476,7 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_attention.add_argument("--pageviews", required=True, help="page-view CSV")
     p_attention.add_argument("--election-date", type=date_type, required=True)
     p_attention.add_argument("--window-days", type=positive_type,
-                             default=grid.ATTENTION_WINDOW_DAYS)
+                             default=feats.ATTENTION_WINDOW_DAYS)
     p_attention.add_argument("--output-dir", default="wikivote-out")
     p_attention.set_defaults(func=cmd_attention)
 

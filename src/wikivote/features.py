@@ -1,9 +1,17 @@
-"""Regression covariates: week-before windows, 0-100 shares, and subsets.
+"""Regression covariates, week-before windows, 0-100 shares, subsets and the model grid.
 
 The attention window is the 7 calendar days ending the day before the first
 polling day; election day itself is excluded so pre-vote information seeking
 is not conflated with results-chasing. Days missing from a series contribute
 nothing to a window sum but are reported through the coverage count.
+
+Model ids follow a fixed grid: the 1.x family predicts absolute vote share,
+the 2.x family predicts vote change; x.0/x.1 fit all parties without/with the
+page-view terms, x.2/x.3 repeat that on the small-party subset.
+
+The command line builds its parser from this module, which loads neither
+forecast nor stats: commands that fit nothing (features, ingest, --help,
+usage errors) never load them.
 """
 
 from __future__ import annotations
@@ -19,6 +27,59 @@ from .model import Dataset, ElectionGroup, vote_change
 
 WINDOW_DAYS = 7
 SMALL_PARTY_THRESHOLD = 15.0
+
+BASE_TERMS = ("Intercept", "News", "New Party", "Incumbency", "News x Incumbency")
+WIKI_TERMS = ("Wikipedia", "New Party x Wikipedia")
+
+ATTENTION_WINDOW_DAYS = 30
+MIN_FIT_DAYS = 5
+
+
+@dataclass(frozen=True)
+class ModelSpec:
+    id: str
+    dependent: str
+    include_wikipedia: bool
+    subset: str
+
+    @classmethod
+    def from_id(cls, model_id: str) -> "ModelSpec":
+        if model_id not in MODEL_GRID:
+            raise ValueError(
+                f"unknown model id {model_id!r}; valid ids: {', '.join(MODEL_IDS)}"
+            )
+        return MODEL_GRID[model_id]
+
+    @property
+    def term_names(self) -> tuple[str, ...]:
+        return BASE_TERMS + WIKI_TERMS if self.include_wikipedia else BASE_TERMS
+
+    @property
+    def covariates(self) -> tuple[str, ...]:
+        """The row fields the design is built from."""
+        base = ("news_share", "new_party", "incumbent")
+        return base + ("wiki_share",) if self.include_wikipedia else base
+
+    @property
+    def outcome_range(self) -> tuple[float, float]:
+        """Plausible outcomes: [0, 100] for vote share, [-100, 100] for vote change."""
+        return (0.0, 100.0) if self.dependent == "vote_share" else (-100.0, 100.0)
+
+
+MODEL_GRID = {
+    spec.id: spec
+    for spec in (
+        ModelSpec("1.0", "vote_share", False, "all"),
+        ModelSpec("1.1", "vote_share", True, "all"),
+        ModelSpec("1.2", "vote_share", False, "small_parties"),
+        ModelSpec("1.3", "vote_share", True, "small_parties"),
+        ModelSpec("2.0", "vote_change", False, "all"),
+        ModelSpec("2.1", "vote_change", True, "all"),
+        ModelSpec("2.2", "vote_change", False, "small_parties"),
+        ModelSpec("2.3", "vote_change", True, "small_parties"),
+    )
+}
+MODEL_IDS = tuple(MODEL_GRID)
 
 FEATURE_COLUMNS = [
     "party_id", "country", "election_date", "wiki_share", "news_share",
@@ -52,29 +113,30 @@ class WindowViews(NamedTuple):
 
 
 def calendar_window(series: PageViewSeries, center: date, first: int, last: int):
-    """The days center + first and center + last, or a ComputationError naming
-    the series when either leaves the calendar."""
+    """The days start = center + first and end = center + last, and the slice of
+    series.days and series.counts from start to end, both ends included.
+
+    A day that leaves the calendar raises a ComputationError naming the series.
+    """
     try:
-        return center + timedelta(days=first), center + timedelta(days=last)
+        start, end = center + timedelta(days=first), center + timedelta(days=last)
     except OverflowError:
         raise ComputationError(f"{series.wiki_project}/{series.page_title}: window {center} "
                                f"{first:+d} to {last:+d} days leaves the calendar") from None
+    lo = bisect_left(series.days, start)
+    return start, end, slice(lo, bisect_right(series.days, end, lo))
 
 
 def window_views(
     series: PageViewSeries, election_date: date, window_days: int = WINDOW_DAYS
 ) -> WindowViews:
     """Sum views over the window_days days ending the day before the election."""
-    start, end = calendar_window(series, election_date, -window_days, -1)
-    lo = bisect_left(series.days, start)
-    hi = bisect_right(series.days, end, lo)
-    if lo == hi:
-        raise ComputationError(
-            f"no data in window [{start}, {end}] for "
-            f"{series.wiki_project}/{series.page_title}"
-        )
-    total = sum(series.counts[lo:hi])
-    return WindowViews(total=total, days_covered=hi - lo, window_days=window_days)
+    start, end, window = calendar_window(series, election_date, -window_days, -1)
+    counts = series.counts[window]
+    if not counts:
+        raise ComputationError(f"no data in window [{start}, {end}] for "
+                               f"{series.wiki_project}/{series.page_title}")
+    return WindowViews(total=sum(counts), days_covered=len(counts), window_days=window_days)
 
 
 def _shares(counts: Mapping[str, float], what: str) -> dict[str, float]:

@@ -1,22 +1,21 @@
 """Fits of the eight regression model specifications, turnout and attention analyses.
 
-The specifications themselves (ModelSpec, MODEL_GRID) are in grid.
+The specifications themselves (ModelSpec, MODEL_GRID) are in features.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from bisect import bisect_left, bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from datetime import date
-from operator import attrgetter, mul
+from operator import attrgetter, itemgetter, mul
 
 from .errors import ComputationError, CurationWarning
-from .features import FeatureRow, calendar_window, relative_change, subset_small
-# the parser reads the grid from its own module; BASE_TERMS and MODEL_IDS stay importable here
-from .grid import ATTENTION_WINDOW_DAYS, BASE_TERMS, MIN_FIT_DAYS, MODEL_IDS, ModelSpec
+# BASE_TERMS and MODEL_IDS stay importable here
+from .features import (ATTENTION_WINDOW_DAYS, BASE_TERMS, MIN_FIT_DAYS, MODEL_IDS, FeatureRow,
+                       ModelSpec, calendar_window, relative_change, subset_small)
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
 from .stats import CorrelationResult, DesignMatrix, FitResult, centred, ols_fit, pearson
@@ -226,25 +225,21 @@ def attention_dynamics(
     window_days days, skipping zero-count days rather than imputing.
     """
     name = f"{series.wiki_project}/{series.page_title}"
-    window_start, window_end = calendar_window(series, election_date, -window_days, window_days)
-    days, counts = series.days, series.counts
-    lo = bisect_left(days, window_start)
-    hi = bisect_right(days, window_end, lo)
-    if lo == hi:
+    start, end, window = calendar_window(series, election_date, -window_days, window_days)
+    days, counts = series.days[window], series.counts[window]
+    if not days:
         raise ComputationError(f"{name}: no data within {window_days} days of {election_date}")
     # max keeps the first of equal counts, and days increase: a tie goes to the earliest date
-    peak = max(range(lo, hi), key=counts.__getitem__)
-    peak_date = days[peak]
-    if peak_date in (window_start, window_end):
+    peak_date, _ = max(zip(days, counts), key=itemgetter(1))
+    if peak_date in (start, end):
         raise ComputationError(f"{name}: peak not interior (falls on {peak_date})")
 
     # fit windows hang off the peak, not the search window
-    fit_start, fit_end = calendar_window(series, peak_date, -window_days, window_days)
-    up = bisect_left(days, fit_start, 0, peak)
-    down = bisect_right(days, fit_end, peak)
-    up_slope, up_r2 = _log_linear_rate(days[up:peak], counts[up:peak], peak_date,
-                                       f"{name}: build-up")
-    down_slope, down_r2 = _log_linear_rate(days[peak + 1:down], counts[peak + 1:down], peak_date,
+    _, _, fit = calendar_window(series, peak_date, -window_days, window_days)
+    days, counts = series.days[fit], series.counts[fit]
+    peak = days.index(peak_date)
+    up_slope, up_r2 = _log_linear_rate(days[:peak], counts[:peak], peak_date, f"{name}: build-up")
+    down_slope, down_r2 = _log_linear_rate(days[peak + 1:], counts[peak + 1:], peak_date,
                                            f"{name}: decay")
     return AttentionDynamics(
         peak_date=peak_date,
