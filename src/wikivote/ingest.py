@@ -208,6 +208,8 @@ def _series_from_items(project, title, payload, start, end) -> PageViewSeries:
             if type(views) is not int:  # a JSON integer: not a bool, a float or a string
                 raise NetworkError(
                     f"{project}/{title} {day}: views must be a JSON integer, got {views!r}")
+            if day in daily:  # two hourly stamps of one day, as the CSV loader rejects too
+                raise NetworkError(f"{project}/{title}: duplicate day {day}")
             daily[day] = views
     return PageViewSeries(wiki_project=project, page_title=title, daily=daily)
 

@@ -20,6 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, pageview_payload
+from wikivote import stats
 from wikivote.cli import _atomic_write, _atomic_write_chunks, _run, main
 from wikivote.ingest import (MAX_BACKOFF_BASE, MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy,
                              PageViewSeries, render_pageviews_csv)
@@ -105,6 +106,18 @@ class TestFit:
         capsys.readouterr()
         names = {p.name for p in (tmp_path / "out").glob("model_*.json")}
         assert len(names) == 8
+
+    @pytest.mark.parametrize("models,factorisations", [
+        ("1.0,1.1,1.2,1.3,2.0,2.1,2.2,2.3", 4), ("1.1,2.1", 1), ("1.0,1.1", 2)])
+    def test_each_design_is_factored_once(self, tmp_path, capsys, monkeypatch, models,
+                                          factorisations):
+        # 1.k and 2.k share rows and terms, so their design and its QR
+        calls = []
+        factor = stats.householder_qr
+        monkeypatch.setattr(stats, "householder_qr", lambda a: calls.append(a) or factor(a))
+        assert main(fit_args(tmp_path / "out", models=models)) == 0
+        capsys.readouterr()
+        assert len(calls) == factorisations
 
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:

@@ -1,5 +1,5 @@
 """Commands other than ingest start without the HTTP client or a thread pool,
-and no command needs numpy.
+no command needs numpy, and the parser and features load no fitting code.
 
 The steps run in one fresh interpreter, in order, since this test process has
 long since imported requests and numpy itself. That interpreter blocks numpy
@@ -19,7 +19,9 @@ from conftest import DATA_DIR
 SRC = DATA_DIR.parent / "src"
 # scipy and numpy may serve the tests and the benchmark, never the program
 NOT_LOADED = ("requests", "urllib3", "concurrent.futures.thread", "scipy")
-WATCHED = NOT_LOADED + ("numpy",)
+# the fitting code: only the commands that fit, correlate or predict load it
+FITTING = ("wikivote.forecast", "wikivote.stats")
+WATCHED = NOT_LOADED + ("numpy",) + FITTING
 
 SCRIPT = """
 import json, sys
@@ -85,3 +87,11 @@ def test_commands_other_than_ingest_load_no_http_client_or_thread_pool(seen):
 def test_every_command_runs_without_numpy(seen):
     assert {step: "numpy" in names for step, (_, names) in seen.items()} == dict.fromkeys(
         seen, False)
+
+
+def test_parser_help_usage_errors_and_features_load_no_fitting_code(seen):
+    # the steps run in order in one interpreter, and these four come before any fit
+    steps = ("build_parser", "help", "usage_error", "features")
+    assert {step: [name for name in seen[step][1] if name in FITTING]
+            for step in steps} == dict.fromkeys(steps, [])
+    assert [name for name in seen["fit"][1] if name in FITTING] == list(FITTING)

@@ -116,6 +116,15 @@ class TestFetchPageviews:
         )
         assert series.daily == dict(WEEK)
 
+    def test_repeated_day_fails_the_page(self):
+        # two stamps of one day: the last one must not silently replace the first
+        session = FakeSession([FakeResponse(200, {"items": [
+            {"timestamp": "2014051800", "views": 1}, {"timestamp": "2014051801", "views": 5}]})])
+        with pytest.raises(NetworkError, match=r"^aa.wikipedia/X: duplicate day 2014-05-18$"):
+            fetch_pageviews("aa.wikipedia", "X", date(2014, 5, 18), date(2014, 5, 24),
+                            session=session, sleep=no_sleep)
+        assert len(session.requests) == 1
+
     def test_missing_page_fails_without_retry(self):
         session = FakeSession([FakeResponse(404)])
         with pytest.raises(MissingPageError):
