@@ -13,7 +13,7 @@ from datetime import date
 from operator import attrgetter, itemgetter, mul
 
 from .errors import ComputationError, CurationWarning
-# BASE_TERMS and MODEL_IDS stay importable here
+# BASE_TERMS and MODEL_IDS, unused here, stay importable from forecast for library users
 from .features import (ATTENTION_WINDOW_DAYS, BASE_TERMS, MIN_FIT_DAYS, MODEL_IDS, FeatureRow,
                        ModelSpec, calendar_window, relative_change, subset_small)
 from .ingest import PageViewSeries

@@ -208,7 +208,7 @@ def _series_from_items(project, title, payload, start, end) -> PageViewSeries:
             if type(views) is not int:  # a JSON integer: not a bool, a float or a string
                 raise NetworkError(
                     f"{project}/{title} {day}: views must be a JSON integer, got {views!r}")
-            if day in daily:  # two hourly stamps of one day, as the CSV loader rejects too
+            if day in daily:  # a day stamped twice, say at hours 00 and 01, as the CSV rejects
                 raise NetworkError(f"{project}/{title}: duplicate day {day}")
             daily[day] = views
     return PageViewSeries(wiki_project=project, page_title=title, daily=daily)
