@@ -111,7 +111,7 @@ class TestFit:
         ("1.0,1.1,1.2,1.3,2.0,2.1,2.2,2.3", 4), ("1.1,2.1", 1), ("1.0,1.1", 2)])
     def test_each_design_is_factored_once(self, tmp_path, capsys, monkeypatch, models,
                                           factorisations):
-        # 1.k and 2.k share rows and terms, so their design and its QR
+        # 1.k and 2.k share rows and terms, so they share one design and its QR
         calls = []
         factor = stats.householder_qr
         monkeypatch.setattr(stats, "householder_qr", lambda a: calls.append(a) or factor(a))
