@@ -16,6 +16,7 @@ usage errors) never load them.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from datetime import date, timedelta
@@ -140,7 +141,7 @@ def window_views(
 
 
 def _shares(counts: Mapping[str, float], what: str) -> dict[str, float]:
-    total = float(sum(counts.values()))
+    total = math.fsum(counts.values())
     if total <= 0.0:
         raise ComputationError(f"zero total: cannot compute {what} shares")
     return {party: 100.0 * count / total for party, count in counts.items()}

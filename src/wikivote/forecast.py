@@ -140,7 +140,7 @@ def predict(report: ModelReport, new_rows) -> list[float]:
     """Point predictions in the dependent variable's units, unclamped: values
     outside spec.outcome_range come back as they are, for the caller to flag."""
     beta = report.fit.beta
-    return [sum(map(mul, row, beta)) for row in zip(*_design(list(new_rows), report.spec))]
+    return [math.fsum(map(mul, row, beta)) for row in zip(*_design(list(new_rows), report.spec))]
 
 
 def _studentized_residuals(x: Sequence[float], y: Sequence[float]) -> list[float]:
@@ -154,7 +154,7 @@ def _studentized_residuals(x: Sequence[float], y: Sequence[float]) -> list[float
     dx, dy, sxx, sxy, _ = centred(x, y)
     slope = sxy / sxx
     resid = [v - slope * u for u, v in zip(dx, dy)]
-    s2 = sum(map(mul, resid, resid)) / (n - 2)
+    s2 = math.fsum(map(mul, resid, resid)) / (n - 2)
     return [e / math.sqrt(max(s2 * (1.0 - (1.0 / n + u * u / sxx)), 1e-300))
             for u, e in zip(dx, resid)]
 

@@ -36,6 +36,7 @@ from .errors import (
     RowError,
     SchemaError,
     ValidationError,
+    WikivoteError,
 )
 from .model import PartyObservation, TurnoutRecord
 
@@ -183,7 +184,11 @@ def fetch_pageviews(
         if status == 404:
             raise MissingPageError(f"no page-view record for {project}/{title}")
         if status == 200:
-            return _series_from_items(project, title, response.json(), start, end)
+            try:
+                payload = response.json()
+            except ValueError:  # requests' JSONDecodeError is a ValueError
+                raise NetworkError(f"{project}/{title}: the answer is not JSON") from None
+            return _series_from_items(project, title, payload, start, end)
         if status != 429 and status < 500:
             raise NetworkError(f"unexpected HTTP {status} for {project}/{title}")
         kind = RateLimitError if status == 429 else NetworkError
@@ -192,9 +197,21 @@ def fetch_pageviews(
 
 
 def _series_from_items(project, title, payload, start, end) -> PageViewSeries:
+    """The series of a REST answer, checked in the order it is read: an object
+    whose `items`, if present, is a list of objects, each with a string
+    `timestamp` and, within [start, end], an integer `views`."""
+    if type(payload) is not dict:
+        raise NetworkError(f"{project}/{title}: the answer is not a JSON object")
+    items = payload.get("items", [])
+    if type(items) is not list:
+        raise NetworkError(f"{project}/{title}: items is not a JSON list")
     daily: dict[date, int] = {}
-    for item in payload.get("items", []):
-        stamp = str(item["timestamp"])
+    for i, item in enumerate(items):
+        if type(item) is not dict:
+            raise NetworkError(f"{project}/{title}: item {i} is not a JSON object")
+        stamp = item.get("timestamp")
+        if type(stamp) is not str:
+            raise NetworkError(f"{project}/{title}: item {i} has no string timestamp")
         match = _REST_STAMP.fullmatch(stamp)
         try:
             day = iso_date("-".join(match.groups())) if match else None
@@ -204,14 +221,17 @@ def _series_from_items(project, title, payload, start, end) -> PageViewSeries:
             raise NetworkError(
                 f"{project}/{title}: timestamp must be YYYYMMDDHH in ASCII digits, got {stamp!r}")
         if start <= day <= end:
-            views = item["views"]
+            views = item.get("views")
             if type(views) is not int:  # a JSON integer: not a bool, a float or a string
                 raise NetworkError(
                     f"{project}/{title} {day}: views must be a JSON integer, got {views!r}")
             if day in daily:  # a day stamped twice, say at hours 00 and 01, as the CSV rejects
                 raise NetworkError(f"{project}/{title}: duplicate day {day}")
             daily[day] = views
-    return PageViewSeries(wiki_project=project, page_title=title, daily=daily)
+    try:
+        return PageViewSeries(wiki_project=project, page_title=title, daily=daily)
+    except ValueError as exc:  # a negative or over-64-bit count; the message starts with the title
+        raise NetworkError(f"{project}/{exc}") from None
 
 
 def fetch_many(
@@ -223,7 +243,8 @@ def fetch_many(
 ) -> tuple[list[PageViewSeries], list[tuple[tuple[str, str], Exception]]]:
     """Fetch several pages concurrently, never more than max_in_flight at once.
 
-    Returns (series in input order, per-page failures).
+    Returns (series in input order, per-page failures). A failure is one of
+    the toolkit's errors; any other exception is a bug, and propagates.
     """
     from concurrent.futures import ThreadPoolExecutor
 
@@ -236,7 +257,7 @@ def fetch_many(
         for page, future in zip(pages, futures):
             try:
                 results.append(future.result())
-            except Exception as exc:  # itemized; callers decide what is fatal
+            except WikivoteError as exc:  # itemized; callers decide what is fatal
                 failures.append((page, exc))
     return results, failures
 

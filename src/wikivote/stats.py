@@ -4,7 +4,9 @@ Designs are held as columns, lists of floats. Householder QR is applied
 straight to the response (no Q is formed), back-substitution on R gives the
 coefficients and R's inverse the standard errors. Student-t tail probabilities
 come from the regularized incomplete beta function, evaluated with a modified
-Lentz continued fraction.
+Lentz continued fraction. Every float sum here, in forecast and in features is
+a math.fsum: correctly rounded, so no result depends on how one Python
+version's built-in sum adds floats (compensated from 3.12 on, plain before).
 """
 
 from __future__ import annotations
@@ -124,7 +126,7 @@ def reflect(reflectors: list[tuple[int, list[float], float]], column: list[float
     rows j and below."""
     for j, v, h in reflectors:
         tail = column[j:]
-        s = sum(map(mul, v, tail)) / h
+        s = math.fsum(map(mul, v, tail)) / h
         column[j:] = [entry - s * weight for entry, weight in zip(tail, v)]
 
 
@@ -161,7 +163,7 @@ def householder_qr(a) -> tuple[list[tuple[int, list[float], float]], list[list[f
 def _back_substitute(r: list[list[float]], b: Sequence[float]) -> list[float]:
     x = [0.0] * len(r)
     for i in reversed(range(len(r))):
-        x[i] = (b[i] - sum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
+        x[i] = (b[i] - math.fsum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
     return x
 
 
@@ -194,9 +196,9 @@ def ols_fit(x: DesignMatrix, y, *, sides: str = "two") -> FitResult:
         raise ValueError(f"response length {len(y)} does not match {n} rows")
     if not all(map(math.isfinite, y)):
         raise ValueError("response contains non-finite entries")
-    mean = sum(y) / n
+    mean = math.fsum(y) / n
     dy = [v - mean for v in y]
-    sst = sum(map(mul, dy, dy))
+    sst = math.fsum(map(mul, dy, dy))
     if sst == 0.0:
         raise ComputationError("degenerate response: zero variance in y")
 
@@ -204,12 +206,13 @@ def ols_fit(x: DesignMatrix, y, *, sides: str = "two") -> FitResult:
     reflect(reflectors, y)  # y is Q^T y from here on
     beta = _back_substitute(r, y)
     # below its first k entries Q^T y is Q^T of the residual vector: their squares sum to ssr
-    ssr = sum(map(mul, y[k:], y[k:]))
+    ssr = math.fsum(map(mul, y[k:], y[k:]))
     df_resid = n - k
     sigma2 = ssr / df_resid
     # column j of R's inverse solves R c = e_j; the diagonal of (X'X)^-1 sums row i's squares
     r_inv = [_back_substitute(r, [float(i == j) for i in range(k)]) for j in range(k)]
-    se = [math.sqrt(sigma2 * sum(column[i] * column[i] for column in r_inv)) for i in range(k)]
+    se = [math.sqrt(sigma2 * math.fsum(column[i] * column[i] for column in r_inv))
+          for i in range(k)]
 
     r2 = 1.0 - ssr / sst
     adj_r2 = 1.0 - (1.0 - r2) * (n - 1) / (n - k)
@@ -350,10 +353,11 @@ def centred(
     x: Sequence[float], y: Sequence[float]
 ) -> tuple[list[float], list[float], float, float, float]:
     """dx, dy (x and y less their means) and the sums Sxx, Sxy, Syy of a line fit."""
-    mean_x, mean_y = sum(x) / len(x), sum(y) / len(y)
+    mean_x, mean_y = math.fsum(x) / len(x), math.fsum(y) / len(y)
     dx = [v - mean_x for v in x]
     dy = [v - mean_y for v in y]
-    return dx, dy, sum(map(mul, dx, dx)), sum(map(mul, dx, dy)), sum(map(mul, dy, dy))
+    return (dx, dy, math.fsum(map(mul, dx, dx)), math.fsum(map(mul, dx, dy)),
+            math.fsum(map(mul, dy, dy)))
 
 
 def pearson(x, y, *, sides: str = "two") -> CorrelationResult:

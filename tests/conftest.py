@@ -14,12 +14,14 @@ DATA_DIR = Path(__file__).resolve().parent.parent / "data"
 
 
 class FakeResponse:
-    def __init__(self, status_code: int, payload=None):
+    def __init__(self, status_code: int, payload=None, *, text: str | None = None):
         self.status_code = status_code
         self._payload = payload if payload is not None else {}
+        self.text = text
 
     def json(self):
-        return self._payload
+        # a body given as text is parsed, and so can fail as requests' json() fails
+        return self._payload if self.text is None else json.loads(self.text)
 
 
 class FakeSession:

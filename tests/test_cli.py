@@ -15,11 +15,12 @@ from datetime import date, timedelta
 from pathlib import Path
 
 import pytest
+import requests
 import responses
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, pageview_payload
+from conftest import DATA_DIR, FakeResponse, FakeSession, pageview_payload
 from wikivote import stats
 from wikivote.cli import _atomic_write, _atomic_write_chunks, _run, main
 from wikivote.ingest import (MAX_BACKOFF_BASE, MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy,
@@ -216,6 +217,21 @@ class TestFeaturesCommand:
         plain = capsys.readouterr().out
         assert main([*argv, f"--{marked}", str(path)]) == 0
         assert capsys.readouterr().out == plain
+
+    def test_shares_of_counts_past_2_to_the_53_are_correctly_rounded(self, tmp_path, capsys):
+        # 2**60 + 100 + 100 is 2**60 + 256 rounded once; a left-to-right float sum loses both 100s
+        counts = {"a": 2**60, "b": 100, "c": 100}
+        parties, views = tmp_path / "parties.csv", tmp_path / "views.csv"
+        parties.write_text(PARTY_HEADER + "".join(
+            f"Arcadia,2014-05-25,{p},{p},{p},{p},0,0,{share},{share},{count},aa.wikipedia,{p}\n"
+            for (p, count), share in zip(counts.items(), (50.0, 30.0, 20.0))))
+        views.write_text("wiki_project,page_title,date,views\n" + "".join(
+            f"aa.wikipedia,{p},2014-05-24,{count}\n" for p, count in counts.items()))
+        assert main(["features", "--dataset", str(parties), "--pageviews", str(views)]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        shares = ["99.99999999999997", "8.673617379884034e-15", "8.673617379884034e-15"]
+        assert [row["news_share"] for row in rows] == shares
+        assert [row["wiki_share"] for row in rows] == shares
 
     def test_stdout_when_no_out(self, capsys):
         assert main(["features", "--dataset", PARTIES, "--pageviews", PAGEVIEWS]) == 0
@@ -833,6 +849,24 @@ class TestIngestCommand:
                          "--end", "2014-05-24"])
         assert (code, err) == (3, f"wikivote: {message.format(pages)}\n")
         assert len(responses.calls) == 0
+
+    @pytest.mark.parametrize("answer,fault", [
+        (FakeResponse(200, [{"timestamp": "2014051800", "views": 5}]),
+         "the answer is not a JSON object"),
+        (FakeResponse(200, {"items": [{"views": 5}]}), "item 0 has no string timestamp"),
+        (FakeResponse(200, {"items": None}), "items is not a JSON list"),
+        (FakeResponse(200, {"items": ["2014051800"]}), "item 0 is not a JSON object"),
+        (FakeResponse(200, text="<html><body>Bad Gateway</body></html>"),
+         "the answer is not JSON"),
+    ], ids=["list", "no-timestamp", "null-items", "string-item", "html"])
+    def test_malformed_answer_names_the_page_and_the_field(self, monkeypatch, capsys, answer,
+                                                           fault):
+        monkeypatch.setattr(requests, "Session", lambda: FakeSession([answer]))
+        code = main(["ingest", "--project", "aa.wikipedia", "--title", "X",
+                     "--start", "2014-05-18", "--end", "2014-05-24", "--retry-limit", "0"])
+        assert code == 4
+        assert capsys.readouterr().err == (f"ingest: aa.wikipedia/X: aa.wikipedia/X: {fault}\n"
+                                           "wikivote: every page fetch failed\n")
 
     def test_start_after_end_is_usage_error(self, capsys):
         with pytest.raises(SystemExit) as excinfo:

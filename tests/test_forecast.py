@@ -224,7 +224,7 @@ class TestPredict:
         report = fit_model(demo_features, spec)
         rows = subset_small(demo_features) if spec.subset == "small_parties" else demo_features
         x, _ = build_design_matrix(rows, spec)
-        assert predict(report, rows) == [sum(map(mul, row, report.fit.beta))
+        assert predict(report, rows) == [math.fsum(map(mul, row, report.fit.beta))
                                          for row in zip(*x.columns)]
 
     def test_missing_covariate_is_named(self):
@@ -309,13 +309,13 @@ class TestTurnoutAnalysis:
         rng = np.random.default_rng(7)
         for n in (3, 12, 500):
             x, y = (rng.normal(size=n) * 1e3).tolist(), rng.normal(size=n).tolist()
-            mean_x, mean_y = sum(x) / n, sum(y) / n
+            mean_x, mean_y = math.fsum(x) / n, math.fsum(y) / n
             dx = [v - mean_x for v in x]
             dy = [v - mean_y for v in y]
-            sxx = sum(map(mul, dx, dx))
-            slope = sum(map(mul, dx, dy)) / sxx
+            sxx = math.fsum(map(mul, dx, dx))
+            slope = math.fsum(map(mul, dx, dy)) / sxx
             resid = [v - slope * u for u, v in zip(dx, dy)]
-            s2 = sum(map(mul, resid, resid)) / (n - 2)
+            s2 = math.fsum(map(mul, resid, resid)) / (n - 2)
             hat = [1.0 / n + u * u / sxx for u in dx]
             expected = [e / math.sqrt(max(s2 * (1.0 - h), 1e-300)) for e, h in zip(resid, hat)]
             assert _studentized_residuals(x, y) == expected
@@ -429,12 +429,12 @@ class TestAttentionDynamics:
         counts = [int(c) for c in rng.integers(0, 5000, size=len(days))]
         t = [float((d - ELECTION).days) for d, c in zip(days, counts) if c > 0]
         v = [math.log(c) for c in counts if c > 0]
-        mean_t, mean_v = sum(t) / len(t), sum(v) / len(v)
+        mean_t, mean_v = math.fsum(t) / len(t), math.fsum(v) / len(v)
         dt = [u - mean_t for u in t]
         dv = [u - mean_v for u in v]
-        stv = sum(map(mul, dt, dv))
-        slope = stv / sum(map(mul, dt, dt))
-        expected = (slope, slope * stv / sum(map(mul, dv, dv)))
+        stv = math.fsum(map(mul, dt, dv))
+        slope = stv / math.fsum(map(mul, dt, dt))
+        expected = (slope, slope * stv / math.fsum(map(mul, dv, dv)))
         assert _log_linear_rate(days, counts, ELECTION, "X") == expected
 
     def test_peak_fit_window_leaving_the_calendar_names_the_series(self):

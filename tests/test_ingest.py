@@ -279,6 +279,35 @@ class TestFetchMany:
             for page, stamp in zip(pages, bad)
         ]
 
+    def test_counts_a_series_cannot_hold_fail_their_page(self):
+        day = date(2014, 5, 18)
+        session = FakeSession([FakeResponse(200, pageview_payload([(day, views)]))
+                               for views in (-1, 2**70)])
+        pages = [("aa.wikipedia", "Negative"), ("aa.wikipedia", "Huge")]
+        results, failures = fetch_many(pages, day, day, FetchPolicy(max_in_flight=1),
+                                       session=session, sleep=no_sleep)
+        assert results == []
+        assert [(page, type(exc), str(exc)) for page, exc in failures] == [
+            (pages[0], NetworkError, "aa.wikipedia/Negative 2014-05-18: negative view count -1"),
+            (pages[1], NetworkError, "aa.wikipedia/Huge: a view count does not fit in 64 bits"),
+        ]
+
+    def test_item_in_the_window_without_views_fails_its_page(self):
+        session = FakeSession([FakeResponse(200, {"items": [{"timestamp": "2014051800"}]})])
+        day = date(2014, 5, 18)
+        results, failures = fetch_many([("aa.wikipedia", "A")], day, day,
+                                       session=session, sleep=no_sleep)
+        assert results == []
+        assert [(type(exc), str(exc)) for _, exc in failures] == [
+            (NetworkError, "aa.wikipedia/A 2014-05-18: views must be a JSON integer, got None")]
+
+    def test_a_bug_inside_a_fetch_propagates(self):
+        # only the toolkit's own errors are itemized: anything else is not a network failure
+        session = FakeSession([RuntimeError("a bug, not a failed fetch")])
+        with pytest.raises(RuntimeError, match="a bug, not a failed fetch"):
+            fetch_many([("aa.wikipedia", "A")], date(2014, 5, 18), date(2014, 5, 24),
+                       session=session, sleep=no_sleep)
+
     def test_max_in_flight_is_capped(self):
         assert FetchPolicy(max_in_flight=MAX_IN_FLIGHT).max_in_flight == MAX_IN_FLIGHT
         for value in (0, MAX_IN_FLIGHT + 1):

@@ -468,10 +468,10 @@ class TestPearson:
         rng = np.random.default_rng(12)
         for n in (3, 59, 2400):
             x, y = rng.normal(size=n).tolist(), (rng.normal(size=n) * 1e6).tolist()
-            mean_x, mean_y = sum(x) / n, sum(y) / n
+            mean_x, mean_y = math.fsum(x) / n, math.fsum(y) / n
             dx = [v - mean_x for v in x]
             dy = [v - mean_y for v in y]
-            sxx, sxy, syy = (sum(map(mul, a, b)) for a, b in ((dx, dx), (dx, dy), (dy, dy)))
+            sxx, sxy, syy = (math.fsum(map(mul, a, b)) for a, b in ((dx, dx), (dx, dy), (dy, dy)))
             assert pearson(x, y).r == max(-1.0, min(1.0, sxy / math.sqrt(sxx * syy)))
             assert centred(x, y)[2:] == (sxx, sxy, syy)
 
