@@ -204,8 +204,8 @@ def cmd_ingest(args, parser) -> None:
         raise DataError(f"page list {args.pages} names no page")
 
     series, failures = ingest.fetch_many(pages, args.start, args.end, policy)
-    for (project, title), exc in failures:
-        print(f"ingest: {project}/{title}: {exc}", file=sys.stderr)
+    for _, exc in failures:  # each message names its page
+        print(f"ingest: {exc}", file=sys.stderr)
     if not series:
         raise NetworkError("every page fetch failed")
 

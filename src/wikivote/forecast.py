@@ -13,9 +13,8 @@ from datetime import date
 from operator import attrgetter, itemgetter, mul
 
 from .errors import ComputationError, CurationWarning
-# BASE_TERMS and MODEL_IDS, unused here, stay importable from forecast for library users
-from .features import (ATTENTION_WINDOW_DAYS, BASE_TERMS, MIN_FIT_DAYS, MODEL_IDS, FeatureRow,
-                       ModelSpec, calendar_window, relative_change, subset_small)
+from .features import (ATTENTION_WINDOW_DAYS, MIN_FIT_DAYS, FeatureRow, ModelSpec,
+                       calendar_window, relative_change, subset_small)
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
 from .stats import CorrelationResult, DesignMatrix, FitResult, centred, ols_fit, pearson
@@ -117,7 +116,7 @@ def build_design_matrix(
     designs = {} if designs is None else designs
     key = (spec.subset, spec.include_wikipedia)
     if key not in designs:
-        designs[key] = DesignMatrix(None, spec.term_names, columns=_design(used, spec))
+        designs[key] = DesignMatrix(_design(used, spec), spec.term_names)
     x = designs[key]
     for name, column in zip(x.column_names[1:], x.columns[1:]):
         if column.count(column[0]) == len(column):

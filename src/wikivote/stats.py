@@ -12,8 +12,8 @@ version's built-in sum adds floats (compensated from 3.12 on, plain before).
 from __future__ import annotations
 
 import math
-from collections.abc import Iterable, Sequence
-from dataclasses import InitVar, dataclass, field
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -39,21 +39,16 @@ def significance_stars(p: float) -> str:
 class DesignMatrix:
     """Dense regression design with an all-ones intercept as first column.
 
-    Held as columns of floats: given as they are (values=None, columns=...),
-    or taken from its rows (values: any 2-d iterable of numbers). It is
-    factored on its first fit, and once only, however many responses are
-    fitted to it.
+    Held as columns of floats, one per name. It is factored on its first fit,
+    and once only, however many responses are fitted to it.
     """
 
-    values: InitVar[Iterable[Sequence[float]] | None]
+    columns: tuple[list[float], ...] = field(repr=False)
     column_names: tuple[str, ...]
-    columns: tuple[list[float], ...] = field(default=(), repr=False, kw_only=True)
 
-    def __post_init__(self, values):
-        names, columns = tuple(self.column_names), self.columns
-        if values is not None:  # rows, transposed; zip refuses rows of unequal length
-            columns = list(zip(*values, strict=True)) or [()] * len(names)
-        columns = tuple(list(map(float, column)) for column in columns)
+    def __post_init__(self):
+        names = tuple(self.column_names)
+        columns = tuple(list(map(float, column)) for column in self.columns)
         n, k = len(columns[0]) if columns else 0, len(names)
         if len(columns) != k or set(map(len, columns)) - {n}:
             raise ValueError("column_names length does not match column count")
@@ -131,17 +126,14 @@ def reflect(reflectors: list[tuple[int, list[float], float]], column: list[float
 
 
 def householder_qr(a) -> tuple[list[tuple[int, list[float], float]], list[list[float]]]:
-    """Householder reflectors and R (n x n, as rows) of a, an m x n matrix,
-    m >= n: a DesignMatrix, or a sequence of its columns.
+    """Householder reflectors and R (k x k, as rows) of a, an n x k DesignMatrix.
 
     Reflector j is (j, v, h = v'v / 2), v over rows j and below, its first
     sign chosen to avoid cancellation; applied to a response (reflect) they
     give Q^T of it, so Q is never formed. A column whose R diagonal is below
-    RANK_TOL times the largest raises SingularityError, named as in a
-    DesignMatrix or else by index.
+    RANK_TOL times the largest raises SingularityError naming that column.
     """
-    names = a.column_names if isinstance(a, DesignMatrix) else None
-    columns = [list(map(float, column)) for column in (a if names is None else a.columns)]
+    columns = [column[:] for column in a.columns]
     reflectors = []
     for j, column in enumerate(columns):
         v = column[j:]
@@ -156,7 +148,7 @@ def householder_qr(a) -> tuple[list[tuple[int, list[float], float]], list[list[f
     r_diag = [abs(column[j]) for j, column in enumerate(columns)]
     for j, d in enumerate(r_diag):
         if d < RANK_TOL * max(r_diag) or d == 0.0:
-            raise SingularityError(names[j] if names else f"column {j}")
+            raise SingularityError(a.column_names[j])
     return reflectors, [[0.0] * i + [c[i] for c in columns[i:]] for i in range(len(columns))]
 
 
@@ -165,20 +157,6 @@ def _back_substitute(r: list[list[float]], b: Sequence[float]) -> list[float]:
     for i in reversed(range(len(r))):
         x[i] = (b[i] - math.fsum(map(mul, r[i][i + 1:], x[i + 1:]))) / r[i][i]
     return x
-
-
-def qr_solve(x, y) -> list[float]:
-    """Least-squares solution of min ||y - Xb|| via Householder QR, for X given
-    as rows, at least as many as columns (no intercept required)."""
-    columns, y = list(zip(*x)), list(map(float, y))
-    n, k = len(x), len(columns)
-    if len(y) != n:
-        raise ValueError(f"response length {len(y)} does not match {n} rows")
-    if n < k:
-        raise ValueError(f"design of shape {(n, k)} needs at least as many rows as columns")
-    reflectors, r = householder_qr(columns)
-    reflect(reflectors, y)
-    return _back_substitute(r, y)
 
 
 def ols_fit(x: DesignMatrix, y, *, sides: str = "two") -> FitResult:
@@ -327,26 +305,6 @@ def student_t_two_sided_p(t: float, df: float) -> float:
         return 0.0
     t2 = t * t
     return _incomplete_beta(df / 2.0, 0.5, df / (df + t2), t2 / (df + t2))
-
-
-def student_t_critical(alpha_two_sided: float, df: float) -> float:
-    """The t with two-sided tail probability alpha, found by bisection."""
-    if not 0.0 < alpha_two_sided < 1.0:
-        raise ValueError("alpha must be in (0, 1)")
-    lo, hi = 0.0, 1.0
-    while student_t_two_sided_p(hi, df) > alpha_two_sided:
-        hi *= 2.0
-        if hi > 1e12:
-            raise ComputationError("critical value search failed to bracket")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if student_t_two_sided_p(mid, df) > alpha_two_sided:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < 1e-12 * max(1.0, hi):
-            break
-    return 0.5 * (lo + hi)
 
 
 def centred(

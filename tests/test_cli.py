@@ -248,6 +248,29 @@ class TestFeaturesCommand:
         assert "ar.wikipedia/No Such Page (observation Arcadia/2009-06-07/arc_p1)" in err
         assert "datetime.date(" not in err
 
+    @pytest.mark.parametrize("name,edit,message", [
+        ("demo_pageviews.csv",
+         lambda line: re.sub(r"^(ar\.wikipedia,.*,2009-[0-9-]+),[0-9]+$", r"\1,0", line),
+         "group Arcadia/2009-06-07: zero total: cannot compute traffic shares"),
+        ("demo_pageviews.csv",
+         lambda line: "" if re.match(r"ar\.wikipedia,Green Path Party \(Arcadia\),"
+                                     r"2009-0[56]-", line) else line,
+         "no data in window [2009-05-31, 2009-06-06] for ar.wikipedia/Green Path Party (Arcadia)"),
+        ("demo_parties.csv", lambda line: line.replace(",ARC6,1,0,6.2,,", ",ARC6,1,0,6.2,3.0,"),
+         "line 12: malformed party row: arc_p6: a new party cannot carry a prior vote share (3.0)"),
+    ], ids=["zero-traffic-group", "empty-window", "new-party-with-prior-share"])
+    def test_data_fault_is_one_error_line(self, tmp_path, capsys, name, edit, message):
+        inputs = {"demo_parties.csv": PARTIES, "demo_pageviews.csv": PAGEVIEWS}
+        # an edit returns the line changed, unchanged, or empty to drop it
+        text = (DATA_DIR / name).read_text()
+        edited = "".join(f"{line}\n" for line in map(edit, text.splitlines()) if line)
+        assert edited != text
+        inputs[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(edited)
+        code = main(["features", "--dataset", inputs["demo_parties.csv"],
+                     "--pageviews", inputs["demo_pageviews.csv"]])
+        assert (code, capsys.readouterr().err) == (3, f"wikivote: {message}\n")
+
 
 class TestPredictCommand:
     def scenario(self, tmp_path, rows):
@@ -820,7 +843,7 @@ class TestIngestCommand:
         out, err = capsys.readouterr()
         assert code == 0
         assert out == render_pageviews_csv([PageViewSeries("aa.wikipedia", "Unity Party", week)])
-        assert err == "ingest: aa.wikipedia/Gone: no page-view record for aa.wikipedia/Gone\n"
+        assert err == "ingest: no page-view record for aa.wikipedia/Gone\n"
         assert len(responses.calls) == 2
 
     @responses.activate
@@ -865,7 +888,7 @@ class TestIngestCommand:
         code = main(["ingest", "--project", "aa.wikipedia", "--title", "X",
                      "--start", "2014-05-18", "--end", "2014-05-24", "--retry-limit", "0"])
         assert code == 4
-        assert capsys.readouterr().err == (f"ingest: aa.wikipedia/X: aa.wikipedia/X: {fault}\n"
+        assert capsys.readouterr().err == (f"ingest: aa.wikipedia/X: {fault}\n"
                                            "wikivote: every page fetch failed\n")
 
     def test_start_after_end_is_usage_error(self, capsys):

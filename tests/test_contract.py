@@ -6,6 +6,10 @@ troublemakers, and one command that reads that file runs in-process through
 cli.main. Whatever the cell, the command exits 0, 2 or 3, no exception
 escapes, and a failure prints exactly one `wikivote: ` error line besides any
 warning lines, or argparse's usage.
+
+`ingest` is held to the same contract under hostile REST answers: each one
+fails its page, the command exits 4, and stderr is one `ingest:` line that
+names the page once, then the `wikivote: ` line.
 """
 
 import contextlib
@@ -13,6 +17,7 @@ import csv
 import io
 
 import pytest
+import responses
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -101,3 +106,46 @@ def test_any_cell_exits_by_the_contract(workdir, mutation):
         errors = [text for text in err.getvalue().splitlines()
                   if not text.startswith("wikivote: warning: ")]
         assert len(errors) == 1 and errors[0].startswith("wikivote: "), errors
+
+
+# --- ingest: one hostile REST answer per page ------------------------------
+
+BASE_URL = "http://127.0.0.1:9/views"
+PAGE_URL = f"{BASE_URL}/aa.wikipedia/all-access/all-agents/X/daily/2014051800/2014052400"
+
+
+def item(views=5, timestamp="2014051800"):
+    return {"items": [{"timestamp": timestamp, "views": views}]}
+
+
+# (answer as responses' keyword arguments, what the ingest line must say)
+REST_ANSWERS = {
+    "list": ({"json": [{"timestamp": "2014051800", "views": 5}]}, "not a JSON object"),
+    "no-timestamp": ({"json": {"items": [{"views": 5}]}}, "item 0 has no string timestamp"),
+    "null-items": ({"json": {"items": None}}, "items is not a JSON list"),
+    "string-item": ({"json": {"items": ["2014051800"]}}, "item 0 is not a JSON object"),
+    "html": ({"body": "<html><body>Bad Gateway</body></html>"}, "the answer is not JSON"),
+    "float-views": ({"json": item(12.9)}, "views must be a JSON integer, got 12.9"),
+    "negative-views": ({"json": item(-1)}, "negative view count -1"),
+    "string-views": ({"json": item("7")}, "views must be a JSON integer, got '7'"),
+    "huge-views": ({"json": item(2**70)}, "does not fit in 64 bits"),
+    "bad-stamp": ({"json": item(timestamp="2014 51800")}, "got '2014 51800'"),
+}
+
+
+@pytest.mark.parametrize("answer,fault", REST_ANSWERS.values(), ids=REST_ANSWERS)
+def test_any_rest_answer_exits_by_the_contract(monkeypatch, answer, fault):
+    monkeypatch.setenv("WIKIVOTE_PAGEVIEWS_BASE_URL", BASE_URL)
+    out, err = io.StringIO(), io.StringIO()
+    with responses.RequestsMock() as mock, contextlib.redirect_stdout(out), \
+            contextlib.redirect_stderr(err):
+        mock.get(PAGE_URL, **answer)
+        code = main(["ingest", "--project", "aa.wikipedia", "--title", "X",
+                     "--start", "2014-05-18", "--end", "2014-05-24", "--retry-limit", "0"])
+        assert len(mock.calls) == 1
+    assert code == 4
+    line, last = err.getvalue().splitlines()
+    assert line.startswith("ingest: ") and line.count("aa.wikipedia/X") == 1, line
+    assert fault in line
+    assert last == "wikivote: every page fetch failed"
+    assert out.getvalue() == ""

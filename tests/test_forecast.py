@@ -12,10 +12,8 @@ import pytest
 from conftest import DATA_DIR
 from wikivote.ingest import load_turnout_csv
 from wikivote.errors import ComputationError, CurationWarning, ValidationError
-from wikivote.features import FeatureRow, subset_small
+from wikivote.features import BASE_TERMS, MODEL_IDS, FeatureRow, subset_small
 from wikivote.forecast import (
-    BASE_TERMS,
-    MODEL_IDS,
     ModelReport,
     ModelSpec,
     TurnoutRecord,

@@ -6,7 +6,7 @@ from datetime import date
 import pytest
 
 from wikivote.errors import CurationWarning, ValidationError
-from wikivote.model import PartyObservation, validate_dataset, vote_change
+from wikivote.model import ElectionGroup, PartyObservation, validate_dataset, vote_change
 
 
 def obs(party_id="p1", country="Arcadia", when=date(2014, 5, 25), share=20.0,
@@ -54,6 +54,17 @@ class TestPartyObservation:
 
     def test_key(self):
         assert obs().key == ("Arcadia", date(2014, 5, 25), "p1")
+
+
+class TestElectionGroup:
+    @pytest.mark.parametrize("stranger", [
+        obs("p9", country="Borduria"), obs("p9", when=date(2014, 6, 1))],
+        ids=["other-country", "other-date"])
+    def test_member_of_another_election_is_named(self, stranger):
+        # validate_dataset groups by this key itself; a library caller may not
+        with pytest.raises(ValidationError,
+                           match="^observation p9 does not belong to group Arcadia/2014-05-25$"):
+            ElectionGroup("Arcadia", date(2014, 5, 25), (obs("p1"), stranger))
 
 
 class TestValidateDataset:
