@@ -31,7 +31,6 @@ import tempfile
 import warnings
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import asdict
 from datetime import date
 from pathlib import Path
 
@@ -147,22 +146,12 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _beta_cell(term: stats.TermEstimate) -> str:
-    return f"{_fmt(term.beta)}{term.stars} ({_fmt(term.se)})"
-
-
 def _render_text_table(reports: list[forecast.ModelReport]) -> str:
-    all_terms = list(feats.BASE_TERMS + feats.WIKI_TERMS)
     header = ["Term"] + [f"Model {r.spec.id}" for r in reports]
-    body: list[list[str]] = []
-    for name in all_terms:
-        row = [name]
-        for report in reports:
-            try:
-                row.append(_beta_cell(report.fit.term(name)))
-            except KeyError:
-                row.append("")
-        body.append(row)
+    cells = [{t.name: f"{_fmt(t.beta)}{t.stars} ({_fmt(t.se)})" for t in r.fit.terms}
+             for r in reports]
+    body = [[name, *(model.get(name, "") for model in cells)]
+            for name in feats.BASE_TERMS + feats.WIKI_TERMS]
     body.append(["R^2"] + [_fmt(r.fit.r2) for r in reports])
     body.append(["Adjusted R^2"] + [_fmt(r.fit.adj_r2) for r in reports])
     body.append(["N"] + [str(r.fit.n) for r in reports])
@@ -179,8 +168,7 @@ def _render_text_table(reports: list[forecast.ModelReport]) -> str:
 def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
     return ingest.render_csv(
         ["model", "term", "beta", "se", "t", "p", "stars", "r2", "adj_r2", "n"],
-        ([report.spec.id, term.name, term.beta, term.se, term.t_stat, term.p_value, term.stars,
-          report.fit.r2, report.fit.adj_r2, report.fit.n]
+        ([report.spec.id, *vars(term).values(), report.fit.r2, report.fit.adj_r2, report.fit.n]
          for report in reports for term in report.fit.terms),
     )
 
@@ -277,11 +265,7 @@ def cmd_turnout(args) -> None:
     corr = result.correlation
 
     if args.format == "json":
-        doc = {
-            **asdict(corr),
-            "sides": args.sides,
-            "ratios": [asdict(ratio) for ratio in result.ratios],
-        }
+        doc = {**vars(corr), "sides": args.sides, "ratios": list(map(vars, result.ratios))}
         _emit(_json(doc), args.out)
         return
 
@@ -344,7 +328,6 @@ def cmd_attention(args) -> None:
         for series, series_id in zip(series_list, series_ids):
             try:
                 dyn = forecast.attention_dynamics(series, args.election_date, args.window_days)
-                # its fields in order; asdict would deep-copy each of them
                 dynamics.append({"series_id": series_id, "status": "ok", **vars(dyn)})
             except DataError as exc:
                 dynamics.append({"series_id": series_id, "status": "error", "error": str(exc)})
@@ -358,6 +341,12 @@ def cmd_attention(args) -> None:
 
 
 def cmd_report(args) -> None:
+    """The share tables and four correlations, all or nothing, as fit is.
+
+    Every correlation comes from one dataset, so one that fails fails the run
+    (exit 3, only an error manifest); attention, whose series are independent,
+    records each failed series and writes the rest.
+    """
     from . import stats
 
     with _run(args) as (files, _):
@@ -377,7 +366,7 @@ def cmd_report(args) -> None:
         correlations = {}
         for name, (x, y) in pairs.items():
             try:
-                correlations[name] = asdict(stats.pearson(x, y))
+                correlations[name] = vars(stats.pearson(x, y))
             except ComputationError as exc:
                 raise ComputationError(f"{name}: {exc}") from exc
         files["report_correlations.json"] = _json(correlations)

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from datetime import date, timedelta
 from typing import Mapping, NamedTuple
 
@@ -82,11 +82,6 @@ MODEL_GRID = {
 }
 MODEL_IDS = tuple(MODEL_GRID)
 
-FEATURE_COLUMNS = [
-    "party_id", "country", "election_date", "wiki_share", "news_share",
-    "new_party", "incumbent", "vote_share", "vote_change",
-]
-
 
 @dataclass(frozen=True)
 class FeatureRow:
@@ -105,6 +100,9 @@ class FeatureRow:
     def __post_init__(self):
         if self.new_party not in (0, 1) or self.incumbent not in (0, 1):
             raise ValueError(f"{self.party_id}: indicators must be exactly 0 or 1")
+
+
+FEATURE_COLUMNS = [f.name for f in fields(FeatureRow)]
 
 
 class WindowViews(NamedTuple):

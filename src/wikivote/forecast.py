@@ -26,24 +26,11 @@ class ModelReport:
     fit: FitResult
 
     def to_json_dict(self) -> dict:
-        """Fixed wire format: {spec, terms[], r2, adj_r2, n}."""
-        return {
-            "spec": self.spec.id,
-            "terms": [
-                {
-                    "name": t.name,
-                    "beta": t.beta,
-                    "se": t.se,
-                    "t": t.t_stat,
-                    "p": t.p_value,
-                    "stars": t.stars,
-                }
-                for t in self.fit.terms
-            ],
-            "r2": self.fit.r2,
-            "adj_r2": self.fit.adj_r2,
-            "n": self.fit.n,
-        }
+        """The model_<id>.json document: the spec id, then FitResult's fields
+        (terms, r2, adj_r2, n), each term a copy of its TermEstimate's fields."""
+        # a key given again keeps its first place: terms stays second
+        return {"spec": self.spec.id, **vars(self.fit),
+                "terms": [dict(vars(t)) for t in self.fit.terms]}
 
 
 @dataclass(frozen=True)

@@ -96,7 +96,8 @@ class PageViewSeries:
         try:
             counts = array("q", map(daily.__getitem__, days))
         except OverflowError:
-            raise ValueError(f"{page_title}: a view count does not fit in 64 bits") from None
+            day = next(day for day in days if not -2**63 <= daily[day] < 2**63)
+            raise ValueError(f"{page_title} {day}: a view count does not fit in 64 bits") from None
         if min(counts, default=0) < 0:
             i = next(i for i, count in enumerate(counts) if count < 0)
             raise ValueError(f"{page_title} {days[i]}: negative view count {counts[i]}")

@@ -77,11 +77,14 @@ class DesignMatrix:
 
 @dataclass(frozen=True)
 class TermEstimate:
+    """One term of a fit. Its fields, in order, are the term's keys in
+    model_<id>.json and its columns in fit_table.csv."""
+
     name: str
     beta: float
     se: float
-    t_stat: float
-    p_value: float
+    t: float
+    p: float
     stars: str
 
 
@@ -93,8 +96,6 @@ class FitResult:
     r2: float
     adj_r2: float
     n: int
-    df_resid: int
-    sigma2: float
 
     def term(self, name: str) -> TermEstimate:
         for t in self.terms:
@@ -206,14 +207,7 @@ def ols_fit(x: DesignMatrix, y, *, sides: str = "two") -> FitResult:
             p /= 2.0
         terms.append(TermEstimate(name, b, s, t_stat, p, significance_stars(p)))
 
-    return FitResult(
-        terms=tuple(terms),
-        r2=r2,
-        adj_r2=adj_r2,
-        n=n,
-        df_resid=df_resid,
-        sigma2=sigma2,
-    )
+    return FitResult(terms=tuple(terms), r2=r2, adj_r2=adj_r2, n=n)
 
 
 def _beta_continued_fraction(a: float, b: float, x: float) -> float:

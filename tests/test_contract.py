@@ -128,7 +128,8 @@ REST_ANSWERS = {
     "float-views": ({"json": item(12.9)}, "views must be a JSON integer, got 12.9"),
     "negative-views": ({"json": item(-1)}, "negative view count -1"),
     "string-views": ({"json": item("7")}, "views must be a JSON integer, got '7'"),
-    "huge-views": ({"json": item(2**70)}, "does not fit in 64 bits"),
+    "huge-views": ({"json": item(2**70)},
+                   "X 2014-05-18: a view count does not fit in 64 bits"),
     "bad-stamp": ({"json": item(timestamp="2014 51800")}, "got '2014 51800'"),
 }
 

@@ -58,8 +58,11 @@ class TestPageViewSeries:
             PageViewSeries("aa.wikipedia", "X", {date(2014, 5, 18): -1})
 
     def test_count_beyond_64_bits_rejected(self):
-        with pytest.raises(ValueError, match="^X: a view count does not fit in 64 bits$"):
-            PageViewSeries("aa.wikipedia", "X", {date(2014, 5, 18): 2**63})
+        with pytest.raises(ValueError,
+                           match="^X 2014-05-19: a view count does not fit in 64 bits$"):
+            PageViewSeries("aa.wikipedia", "X", {
+                date(2014, 5, 20): 2**63, date(2014, 5, 18): 1, date(2014, 5, 19): -2**63 - 1,
+            })
 
     def test_negative_count_names_its_first_day_in_date_order(self):
         with pytest.raises(ValueError, match="^X 2014-05-18: negative view count -1$"):
@@ -289,7 +292,8 @@ class TestFetchMany:
         assert results == []
         assert [(page, type(exc), str(exc)) for page, exc in failures] == [
             (pages[0], NetworkError, "aa.wikipedia/Negative 2014-05-18: negative view count -1"),
-            (pages[1], NetworkError, "aa.wikipedia/Huge: a view count does not fit in 64 bits"),
+            (pages[1], NetworkError,
+             "aa.wikipedia/Huge 2014-05-18: a view count does not fit in 64 bits"),
         ]
 
     def test_item_in_the_window_without_views_fails_its_page(self):
