@@ -31,6 +31,7 @@ import tempfile
 import warnings
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
+from dataclasses import fields
 from datetime import date
 from pathlib import Path
 
@@ -157,17 +158,16 @@ def _render_text_table(reports: list[forecast.ModelReport]) -> str:
     body.append(["N"] + [str(r.fit.n) for r in reports])
 
     widths = [max(len(row[i]) for row in [header] + body) for i in range(len(header))]
-    lines = []
-    for row in [header] + body:
-        lines.append("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip())
-        if row is header:
-            lines.append("  ".join("-" * width for width in widths))
-    return "\n".join(lines) + "\n"
+    rows = [header, ["-" * width for width in widths], *body]  # the rule is a row too
+    return "".join("  ".join(cell.ljust(width) for cell, width in zip(row, widths)).rstrip()
+                   + "\n" for row in rows)
 
 
 def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
-    return ingest.render_csv(
-        ["model", "term", "beta", "se", "t", "p", "stars", "r2", "adj_r2", "n"],
+    from .stats import TermEstimate
+
+    return ingest.render_csv(  # a term's fields, its name under "term"
+        ["model", "term", *[f.name for f in fields(TermEstimate)][1:], "r2", "adj_r2", "n"],
         ([report.spec.id, *vars(term).values(), report.fit.r2, report.fit.adj_r2, report.fit.n]
          for report in reports for term in report.fit.terms),
     )

@@ -78,7 +78,7 @@ class DesignMatrix:
 @dataclass(frozen=True)
 class TermEstimate:
     """One term of a fit. Its fields, in order, are the term's keys in
-    model_<id>.json and its columns in fit_table.csv."""
+    model_<id>.json and its fit_table.csv columns, the name headed "term"."""
 
     name: str
     beta: float

@@ -59,9 +59,17 @@ class TestPageViewSeries:
 
     def test_count_beyond_64_bits_rejected(self):
         with pytest.raises(ValueError,
+                           match="^X 2014-05-18: a view count does not fit in 64 bits$"):
+            PageViewSeries("aa.wikipedia", "X", {date(2014, 5, 18): 2**63})
+
+    # each edge of the signed 64-bit range is the first violation in date order once
+    @pytest.mark.parametrize("first, later", [(2**63, -2**63 - 1), (-2**63 - 1, 2**63)],
+                             ids=["above", "below"])
+    def test_count_beyond_64_bits_names_its_first_day_in_date_order(self, first, later):
+        with pytest.raises(ValueError,
                            match="^X 2014-05-19: a view count does not fit in 64 bits$"):
             PageViewSeries("aa.wikipedia", "X", {
-                date(2014, 5, 20): 2**63, date(2014, 5, 18): 1, date(2014, 5, 19): -2**63 - 1,
+                date(2014, 5, 20): later, date(2014, 5, 18): 1, date(2014, 5, 19): first,
             })
 
     def test_negative_count_names_its_first_day_in_date_order(self):
