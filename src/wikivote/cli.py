@@ -9,7 +9,8 @@ line on stderr.
 Only fit, predict, turnout, attention and report compute: they import
 forecast and stats when they run, so the parser, --help, usage errors,
 features and ingest start without compiling and loading them (an eighth of a
-start with no bytecode cache, on a 2-vCPU VM).
+start with no bytecode cache, on a 2-vCPU VM). Likewise json loads only to
+write JSON, and tempfile only to write a file.
 
 Data files are written atomically (temp + rename) and contain no timestamps,
 so identical inputs and config produce byte-identical outputs; run metadata
@@ -22,18 +23,14 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import json
 import math
 import operator
 import os
 import sys
-import tempfile
 import warnings
 from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
-from dataclasses import fields
 from datetime import date
-from pathlib import Path
 
 from . import features as feats
 from . import ingest
@@ -45,15 +42,18 @@ EXIT_DATA = 3
 EXIT_NETWORK = 4
 
 
-def _atomic_write_chunks(path: Path, chunks: Iterable[str]) -> None:
+def _atomic_write_chunks(path: str, chunks: Iterable[str]) -> None:
     """Write the text chunks to path, one at a time, through a temp file and a rename.
 
     The file keeps the permission bits of the file it replaces, or else gets
     open()'s 0o666 less the umask, not mkstemp's 0o600. If making or writing
     a chunk raises, path keeps its old content and the temp file is removed.
     """
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    import tempfile
+
+    directory, name = os.path.split(path)
+    os.makedirs(directory or ".", exist_ok=True)
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=f".{name}.")
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
             handle.writelines(chunks)
@@ -71,7 +71,7 @@ def _atomic_write_chunks(path: Path, chunks: Iterable[str]) -> None:
         raise
 
 
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: str, text: str) -> None:
     _atomic_write_chunks(path, (text,))
 
 
@@ -98,7 +98,7 @@ def _run(args):
         for name, text in files.items():
             # a str goes through _atomic_write, the one write bench/tracer.py counts
             write = _atomic_write if isinstance(text, str) else _atomic_write_chunks
-            write(Path(args.output_dir, name), text)
+            write(os.path.join(args.output_dir, name), text)
         status = "ok"
     except Exception as exc:
         errors = errors or [str(exc)]
@@ -106,17 +106,19 @@ def _run(args):
     finally:
         manifest = {"command": args.command, "config": config, "status": status,
                     "outputs": list(files) if status == "ok" else [], "errors": errors}
-        _atomic_write(Path(args.output_dir, "manifest.json"), _json(manifest))
+        _atomic_write(os.path.join(args.output_dir, "manifest.json"), _json(manifest))
 
 
 def _json(doc) -> str:
     """doc as JSON text indented by 2, ending in a newline; a date is written as YYYY-MM-DD."""
+    import json
+
     return json.dumps(doc, indent=2, default=date.isoformat) + "\n"
 
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        _atomic_write(Path(out), text)
+        _atomic_write(out, text)
     else:
         sys.stdout.write(text)
 
@@ -167,8 +169,8 @@ def _render_csv_table(reports: list[forecast.ModelReport]) -> str:
     from .stats import TermEstimate
 
     return ingest.render_csv(  # a term's fields, its name under "term"
-        ["model", "term", *[f.name for f in fields(TermEstimate)][1:], "r2", "adj_r2", "n"],
-        ([report.spec.id, *vars(term).values(), report.fit.r2, report.fit.adj_r2, report.fit.n]
+        ["model", "term", *TermEstimate._fields[1:], "r2", "adj_r2", "n"],
+        ([report.spec.id, *term, report.fit.r2, report.fit.adj_r2, report.fit.n]
          for report in reports for term in report.fit.terms),
     )
 
@@ -265,7 +267,8 @@ def cmd_turnout(args) -> None:
     corr = result.correlation
 
     if args.format == "json":
-        doc = {**vars(corr), "sides": args.sides, "ratios": list(map(vars, result.ratios))}
+        doc = {**corr._asdict(), "sides": args.sides,
+               "ratios": [ratio._asdict() for ratio in result.ratios]}
         _emit(_json(doc), args.out)
         return
 
@@ -328,7 +331,7 @@ def cmd_attention(args) -> None:
         for series, series_id in zip(series_list, series_ids):
             try:
                 dyn = forecast.attention_dynamics(series, args.election_date, args.window_days)
-                dynamics.append({"series_id": series_id, "status": "ok", **vars(dyn)})
+                dynamics.append({"series_id": series_id, "status": "ok", **dyn._asdict()})
             except DataError as exc:
                 dynamics.append({"series_id": series_id, "status": "error", "error": str(exc)})
                 errors.append(str(exc))
@@ -366,7 +369,7 @@ def cmd_report(args) -> None:
         correlations = {}
         for name, (x, y) in pairs.items():
             try:
-                correlations[name] = vars(stats.pearson(x, y))
+                correlations[name] = stats.pearson(x, y)._asdict()
             except ComputationError as exc:
                 raise ComputationError(f"{name}: {exc}") from exc
         files["report_correlations.json"] = _json(correlations)

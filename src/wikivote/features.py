@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, fields
+from collections import namedtuple
+from collections.abc import Mapping
 from datetime import date, timedelta
-from typing import Mapping, NamedTuple
 
 from .errors import ComputationError
 from .ingest import PageViewSeries
-from .model import Dataset, ElectionGroup, vote_change
+from .model import Checked, Dataset, ElectionGroup, vote_change
 
 WINDOW_DAYS = 7
 SMALL_PARTY_THRESHOLD = 15.0
@@ -36,12 +36,8 @@ ATTENTION_WINDOW_DAYS = 30
 MIN_FIT_DAYS = 5
 
 
-@dataclass(frozen=True)
-class ModelSpec:
-    id: str
-    dependent: str
-    include_wikipedia: bool
-    subset: str
+class ModelSpec(namedtuple("ModelSpec", "id dependent include_wikipedia subset")):
+    __slots__ = ()
 
     @classmethod
     def from_id(cls, model_id: str) -> "ModelSpec":
@@ -83,32 +79,25 @@ MODEL_GRID = {
 MODEL_IDS = tuple(MODEL_GRID)
 
 
-@dataclass(frozen=True)
-class FeatureRow:
+class FeatureRow(Checked, namedtuple("FeatureRow", (
+        "party_id country election_date wiki_share news_share new_party incumbent vote_share "
+        "vote_change"))):
     """Per-observation regression covariates, shares on the 0-100 scale."""
 
-    party_id: str
-    country: str
-    election_date: date
-    wiki_share: float
-    news_share: float
-    new_party: int
-    incumbent: int
-    vote_share: float
-    vote_change: float
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.new_party not in (0, 1) or self.incumbent not in (0, 1):
             raise ValueError(f"{self.party_id}: indicators must be exactly 0 or 1")
+        return self
 
 
-FEATURE_COLUMNS = [f.name for f in fields(FeatureRow)]
+FEATURE_COLUMNS = list(FeatureRow._fields)
 
 
-class WindowViews(NamedTuple):
-    total: int
-    days_covered: int
-    window_days: int
+class WindowViews(namedtuple("WindowViews", "total days_covered window_days")):
+    __slots__ = ()
 
 
 def calendar_window(series: PageViewSeries, center: date, first: int, last: int):

@@ -7,8 +7,8 @@ from __future__ import annotations
 
 import math
 import warnings
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass
 from datetime import date
 from operator import attrgetter, itemgetter, mul
 
@@ -17,54 +17,43 @@ from .features import (ATTENTION_WINDOW_DAYS, MIN_FIT_DAYS, FeatureRow, ModelSpe
                        calendar_window, relative_change, subset_small)
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
-from .stats import CorrelationResult, DesignMatrix, FitResult, centred, ols_fit, pearson
+from .stats import DesignMatrix, centred, ols_fit, pearson
 
 
-@dataclass(frozen=True)
-class ModelReport:
-    spec: ModelSpec
-    fit: FitResult
+class ModelReport(namedtuple("ModelReport", "spec fit")):
+    __slots__ = ()
 
     def to_json_dict(self) -> dict:
         """The model_<id>.json document: the spec id, then FitResult's fields
-        (terms, r2, adj_r2, n), each term a copy of its TermEstimate's fields."""
+        (terms, r2, adj_r2, n), each term its TermEstimate's fields."""
         # a key given again keeps its first place: terms stays second
-        return {"spec": self.spec.id, **vars(self.fit),
-                "terms": [dict(vars(t)) for t in self.fit.terms]}
+        return {"spec": self.spec.id, **self.fit._asdict(),
+                "terms": [t._asdict() for t in self.fit.terms]}
 
 
-@dataclass(frozen=True)
-class TurnoutRatio:
-    language_edition: str
-    views_change: float
-    turnout_change: float
-    outlier: bool
-    studentized_residual: float | None = None
+class TurnoutRatio(namedtuple("TurnoutRatio", (
+        "language_edition views_change turnout_change outlier studentized_residual"),
+        defaults=(None,))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class TurnoutReport:
-    correlation: CorrelationResult
-    ratios: tuple[TurnoutRatio, ...]
+class TurnoutReport(namedtuple("TurnoutReport", "correlation ratios")):
+    __slots__ = ()
 
     @property
     def excluded(self) -> tuple[TurnoutRatio, ...]:
         return tuple(r for r in self.ratios if r.outlier)
 
 
-@dataclass(frozen=True)
-class AttentionDynamics:
+class AttentionDynamics(namedtuple("AttentionDynamics", (
+        "peak_date lambda_up lambda_down fit_quality_up fit_quality_down"))):
     """Exponential build-up and decay rates around an attention peak.
 
     lambda_up is the log-linear slope before the peak, lambda_down the negated
     slope after it, so positive values mean growth and decay respectively.
     """
 
-    peak_date: date
-    lambda_up: float
-    lambda_down: float
-    fit_quality_up: float
-    fit_quality_down: float
+    __slots__ = ()
 
 
 def _design(rows, spec: ModelSpec) -> list[list[float]]:

@@ -22,12 +22,10 @@ import re
 import time
 from array import array
 from bisect import bisect_left
+from collections import namedtuple
 from collections.abc import Mapping
 from contextlib import contextmanager
-from dataclasses import dataclass
 from datetime import date
-from typing import NamedTuple
-from urllib.parse import quote
 
 from .errors import (
     MissingPageError,
@@ -38,7 +36,7 @@ from .errors import (
     ValidationError,
     WikivoteError,
 )
-from .model import PartyObservation, TurnoutRecord
+from .model import Checked, PartyObservation, TurnoutRecord
 
 DEFAULT_BASE_URL = "https://wikimedia.org/api/rest_v1/metrics/pageviews/per-article"
 BASE_URL_ENV_VAR = "WIKIVOTE_PAGEVIEWS_BASE_URL"
@@ -77,21 +75,18 @@ class DailyView(Mapping):
         raise KeyError(day)
 
 
-@dataclass(frozen=True, init=False)
-class PageViewSeries:
+class PageViewSeries(namedtuple("PageViewSeries", "wiki_project page_title days counts")):
     """Daily view counts for one article in one language edition.
 
     Two columns: `days`, strictly increasing `date`s, and `counts`, the views
     of each day (array('q')). Days without data are simply absent. `daily` is
-    a read-only {day: views} view over the columns.
+    a read-only {day: views} view over the columns. The constructor takes the
+    {day: views} of a page; _make takes columns already checked.
     """
 
-    wiki_project: str
-    page_title: str
-    days: tuple[date, ...]
-    counts: array
+    __slots__ = ()
 
-    def __init__(self, wiki_project: str, page_title: str, daily: Mapping[date, int]):
+    def __new__(cls, wiki_project: str, page_title: str, daily: Mapping[date, int]):
         days = tuple(sorted(daily))  # the one sort of a series' days: linear on sorted keys
         try:
             counts = array("q", map(daily.__getitem__, days))
@@ -101,17 +96,10 @@ class PageViewSeries:
         if min(counts, default=0) < 0:
             i = next(i for i, count in enumerate(counts) if count < 0)
             raise ValueError(f"{page_title} {days[i]}: negative view count {counts[i]}")
-        self._fill(wiki_project, page_title, days, counts)
+        return super().__new__(cls, wiki_project, page_title, days, counts)
 
-    @classmethod
-    def _from_columns(cls, wiki_project, page_title, days, counts) -> "PageViewSeries":
-        """A series from columns already checked: days increasing, counts >= 0."""
-        series = cls.__new__(cls)
-        series._fill(wiki_project, page_title, days, counts)
-        return series
-
-    def _fill(self, wiki_project, page_title, days, counts) -> None:  # past frozen's __setattr__
-        vars(self).update(wiki_project=wiki_project, page_title=page_title, days=days, counts=counts)
+    def __reduce__(self):  # copy and pickle: from the columns, which __new__ does not take
+        return self._make, (tuple(self),)
 
     @property
     def daily(self) -> DailyView:
@@ -122,13 +110,12 @@ class PageViewSeries:
         return (self.wiki_project, self.page_title)
 
 
-@dataclass(frozen=True)
-class FetchPolicy:
-    max_in_flight: int = 4
-    retry_limit: int = 3
-    backoff_base: float = 0.5
+class FetchPolicy(Checked, namedtuple("FetchPolicy", "max_in_flight retry_limit backoff_base",
+                                     defaults=(4, 3, 0.5))):
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 1 <= self.max_in_flight <= MAX_IN_FLIGHT:
             raise ValueError(
                 f"max_in_flight must be from 1 to {MAX_IN_FLIGHT}, got {self.max_in_flight}")
@@ -138,6 +125,7 @@ class FetchPolicy:
         if not 0 <= self.backoff_base <= MAX_BACKOFF_BASE:  # nan compares false: rejected too
             raise ValueError(f"backoff_base must be a finite number >= 0 and at most "
                              f"{MAX_BACKOFF_BASE}, got {self.backoff_base}")
+        return self
 
 
 def fetch_pageviews(
@@ -158,6 +146,7 @@ def fetch_pageviews(
     WIKIVOTE_PAGEVIEWS_BASE_URL if set.
     """
     import requests  # here, not at module level: no other command loads the HTTP stack
+    from urllib.parse import quote
 
     if start > end:
         raise ValueError(f"start {start} is after end {end}")
@@ -541,7 +530,7 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
             add_day(day)
     if days is not None:
         pages[project, title][2:] = latest, seen
-    return [PageViewSeries._from_columns(*key, tuple(days), counts) if seen is None
+    return [PageViewSeries._make((*key, tuple(days), counts)) if seen is None
             else PageViewSeries(*key, dict(zip(days, counts)))
             for key, (days, counts, _, seen) in sorted(pages.items())]
 
@@ -561,22 +550,18 @@ def load_party_csv(path) -> list[PartyObservation]:
 
     A repeated (country, election_date, party_id) fails on its second line.
     """
-    return read_table(path, PARTY_SCHEMA, "party", lambda values: PartyObservation(*values), key=3)
+    return read_table(path, PARTY_SCHEMA, "party", PartyObservation._make, key=3)
 
 
 def load_turnout_csv(path) -> list[TurnoutRecord]:
     """Load one turnout record per language edition (strict parsing)."""
-    return read_table(path, TURNOUT_SCHEMA, "turnout", lambda values: TurnoutRecord(*values), key=1)
+    return read_table(path, TURNOUT_SCHEMA, "turnout", TurnoutRecord._make, key=1)
 
 
-class ScenarioRow(NamedTuple):
+class ScenarioRow(namedtuple("ScenarioRow", "party_id news_share wiki_share new_party incumbent")):
     """One hypothetical party to predict for."""
 
-    party_id: str
-    news_share: float
-    wiki_share: float
-    new_party: bool
-    incumbent: bool
+    __slots__ = ()
 
 
 def load_scenario_csv(path) -> list[ScenarioRow]:

@@ -9,7 +9,7 @@ validator warns about parties that never clear the threshold but keeps them.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from collections import namedtuple
 from datetime import date
 
 from .errors import CurationWarning, ValidationError
@@ -17,25 +17,27 @@ from .errors import CurationWarning, ValidationError
 INCLUSION_THRESHOLD = 5.0
 
 
-@dataclass(frozen=True)
-class PartyObservation:
-    """One party's result and attention record in one election."""
+class Checked:
+    """Base of a named tuple whose __new__ checks its values: this _make, and so
+    _replace, builds through __new__, where a named tuple's own goes past it."""
 
-    country: str
-    election_date: date
-    party_id: str
-    name_english: str
-    name_local: str
-    abbreviation: str
-    is_new: bool
-    is_incumbent: bool
-    vote_share: float
-    prev_vote_share: float | None
-    news_mentions: int
-    wiki_project: str
-    wiki_page_title: str
+    __slots__ = ()
 
-    def __post_init__(self):
+    @classmethod
+    def _make(cls, values):
+        return cls(*values)
+
+
+class PartyObservation(Checked, namedtuple("PartyObservation", (
+        "country election_date party_id name_english name_local abbreviation is_new "
+        "is_incumbent vote_share prev_vote_share news_mentions wiki_project wiki_page_title"))):
+    """One party's result and attention record in one election; prev_vote_share
+    is None for a new party."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not 0.0 <= self.vote_share <= 100.0:
             raise ValidationError(
                 f"{self.party_id}: vote_share {self.vote_share} outside [0, 100]"
@@ -53,6 +55,7 @@ class PartyObservation:
             raise ValidationError(f"{self.party_id}: missing prior result for an established party")
         if self.news_mentions < 0:
             raise ValidationError(f"{self.party_id}: negative news_mentions")
+        return self
 
     @property
     def key(self) -> tuple[str, date, str]:
@@ -64,16 +67,13 @@ class PartyObservation:
         return f"{self.country}/{self.election_date}/{self.party_id}"
 
 
-@dataclass(frozen=True)
-class ElectionGroup:
+class ElectionGroup(Checked, namedtuple("ElectionGroup", "country election_date observations")):
     """All parties competing in the same country on the same date."""
 
-    country: str
-    election_date: date
-    observations: tuple[PartyObservation, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        object.__setattr__(self, "observations", tuple(self.observations))
+    def __new__(cls, country, election_date, observations):
+        self = super().__new__(cls, country, election_date, tuple(observations))
         if len(self.observations) < 2:
             raise ValidationError(
                 f"group {self.country}/{self.election_date}: needs at least 2 parties, "
@@ -85,14 +85,19 @@ class ElectionGroup:
                     f"observation {obs.party_id} does not belong to group "
                     f"{self.country}/{self.election_date}"
                 )
+        return self
 
 
-@dataclass(frozen=True)
 class Dataset:
-    groups: tuple[ElectionGroup, ...]
+    """The election groups of a dataset; its len() is the number of observations."""
 
-    def __post_init__(self):
-        object.__setattr__(self, "groups", tuple(self.groups))
+    __slots__ = ("groups",)
+
+    def __init__(self, groups):
+        self.groups = tuple(groups)
+
+    def __eq__(self, other):
+        return self.groups == other.groups if isinstance(other, Dataset) else NotImplemented
 
     @property
     def observations(self) -> tuple[PartyObservation, ...]:
@@ -102,18 +107,15 @@ class Dataset:
         return sum(len(g.observations) for g in self.groups)
 
 
-@dataclass(frozen=True)
-class TurnoutRecord:
+class TurnoutRecord(Checked, namedtuple("TurnoutRecord", (
+        "language_edition views_prev views_curr turnout_prev turnout_curr outlier"),
+        defaults=(False,))):
     """Aggregate attention and turnout for one language edition, two elections."""
 
-    language_edition: str
-    views_prev: int
-    views_curr: int
-    turnout_prev: float
-    turnout_curr: float
-    outlier: bool = False
+    __slots__ = ()
 
-    def __post_init__(self):
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.views_prev <= 0:
             raise ValidationError(f"{self.language_edition}: views_prev must be positive")
         if self.views_curr < 0:
@@ -121,6 +123,7 @@ class TurnoutRecord:
         for label, value in (("turnout_prev", self.turnout_prev), ("turnout_curr", self.turnout_curr)):
             if not 0.0 < value <= 100.0:
                 raise ValidationError(f"{self.language_edition}: {label} {value} outside (0, 100]")
+        return self
 
 
 def validate_dataset(raw_rows) -> Dataset:

@@ -12,8 +12,8 @@ version's built-in sum adds floats (compensated from 3.12 on, plain before).
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain
 from operator import mul
@@ -35,7 +35,6 @@ def significance_stars(p: float) -> str:
     return ""
 
 
-@dataclass(frozen=True, eq=False)
 class DesignMatrix:
     """Dense regression design with an all-ones intercept as first column.
 
@@ -43,23 +42,19 @@ class DesignMatrix:
     and once only, however many responses are fitted to it.
     """
 
-    columns: tuple[list[float], ...] = field(repr=False)
-    column_names: tuple[str, ...]
-
-    def __post_init__(self):
-        names = tuple(self.column_names)
-        columns = tuple(list(map(float, column)) for column in self.columns)
+    def __init__(self, columns, column_names):
+        names = tuple(column_names)
+        columns = tuple(list(map(float, column)) for column in columns)
         n, k = len(columns[0]) if columns else 0, len(names)
         if len(columns) != k or set(map(len, columns)) - {n}:
             raise ValueError("column_names length does not match column count")
         if n <= k:
             raise ComputationError(f"need more rows than columns to fit: n={n}, columns={k}")
-        object.__setattr__(self, "column_names", names)
-        object.__setattr__(self, "columns", columns)
         if not all(map(math.isfinite, chain.from_iterable(columns))):
             raise ValueError("design matrix contains non-finite entries")
         if columns[0].count(1.0) != n:
             raise ValueError("first design column must be the intercept (all ones)")
+        self.columns, self.column_names = columns, names
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -75,27 +70,17 @@ class DesignMatrix:
         return householder_qr(self)
 
 
-@dataclass(frozen=True)
-class TermEstimate:
+class TermEstimate(namedtuple("TermEstimate", "name beta se t p stars")):
     """One term of a fit. Its fields, in order, are the term's keys in
     model_<id>.json and its fit_table.csv columns, the name headed "term"."""
 
-    name: str
-    beta: float
-    se: float
-    t: float
-    p: float
-    stars: str
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class FitResult:
+class FitResult(namedtuple("FitResult", "terms r2 adj_r2 n")):
     """Full per-term and whole-fit diagnostics of one least-squares fit."""
 
-    terms: tuple[TermEstimate, ...]
-    r2: float
-    adj_r2: float
-    n: int
+    __slots__ = ()
 
     def term(self, name: str) -> TermEstimate:
         for t in self.terms:
@@ -108,12 +93,8 @@ class FitResult:
         return [t.beta for t in self.terms]
 
 
-@dataclass(frozen=True)
-class CorrelationResult:
-    r: float
-    n: int
-    p_value: float
-    adj_r2: float
+class CorrelationResult(namedtuple("CorrelationResult", "r n p_value adj_r2")):
+    __slots__ = ()
 
 
 def reflect(reflectors: list[tuple[int, list[float], float]], column: list[float]) -> None:

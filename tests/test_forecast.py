@@ -2,7 +2,6 @@
 
 import math
 import warnings
-from dataclasses import fields
 from datetime import date, timedelta
 from fractions import Fraction
 from operator import mul
@@ -142,7 +141,7 @@ class TestFitModel:
         assert doc["spec"] == "1.0"
         assert [t["name"] for t in doc["terms"]] == list(BASE_TERMS)
         for term in doc["terms"]:
-            assert list(term) == [f.name for f in fields(TermEstimate)]
+            assert list(term) == list(TermEstimate._fields)
 
     def test_failure_names_the_model(self):
         rows = [feature_row(f"p{i}", news=float(i), wiki=float(i), share=10.0)

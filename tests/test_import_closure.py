@@ -1,12 +1,16 @@
 """Commands other than ingest start without the HTTP client or a thread pool,
-no command needs numpy, and the parser and features load no fitting code.
+no command needs numpy, the parser and features load no fitting code, and
+the standard-library modules that only writing or fetching needs load only
+in the commands that write or fetch.
 
-The steps run in one fresh interpreter, in order, since this test process has
-long since imported requests and numpy itself. That interpreter blocks numpy
-before it imports wikivote, so any `import numpy` would end a step in an
-ImportError.
+The steps run in fresh interpreters, in order, since this test process has
+long since imported requests and numpy itself. The first interpreter blocks
+numpy before it imports wikivote, so any `import numpy` would end a step in an
+ImportError. The second starts with -S and imports nothing before wikivote:
+`site`, and any .pth file of the installation, may load modules of their own.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -95,3 +99,44 @@ def test_parser_help_usage_errors_and_features_load_no_fitting_code(seen):
     assert {step: [name for name in seen[step][1] if name in FITTING]
             for step in steps} == dict.fromkeys(steps, [])
     assert [name for name in seen["fit"][1] if name in FITTING] == list(FITTING)
+
+
+# none loads at start: json and tempfile load to write outputs, urllib.parse to
+# fetch, and no record needs dataclasses (with inspect) or typing
+DEFERRED = ("dataclasses", "inspect", "typing", "json", "tempfile", "pathlib", "urllib.parse")
+
+BARE_SCRIPT = """
+import sys
+from wikivote.cli import build_parser, main
+
+deferred, data, out = sys.argv[1].split(","), sys.argv[2], sys.argv[3]
+features = ["--dataset", f"{data}/demo_parties.csv", "--pageviews", f"{data}/demo_pageviews.csv"]
+steps = {
+    "help": ["--help"],
+    "usage_error": ["predict", *features, "--scenario", f"{out}/absent.csv", "--model", "9.9"],
+    "features": ["features", *features],
+    "fit": ["fit", *features, "--output-dir", f"{out}/fit"],
+}
+build_parser()
+seen = {"build_parser": [0, [name for name in deferred if name in sys.modules]]}
+for step, argv in steps.items():
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    seen[step] = [code, [name for name in deferred if name in sys.modules]]
+print(repr(seen))
+"""
+
+
+def test_bare_start_loads_json_and_tempfile_only_for_a_command_that_writes(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", BARE_SCRIPT, ",".join(DEFERRED), str(DATA_DIR), str(tmp_path)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    # features writes its table to stdout, so the report is the last line
+    seen = ast.literal_eval(proc.stdout.splitlines()[-1])
+    assert seen == {"build_parser": [0, []], "help": [0, []], "usage_error": [2, []],
+                    "features": [0, []], "fit": [0, ["json", "tempfile"]]}

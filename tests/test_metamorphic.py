@@ -1,12 +1,15 @@
 """Metamorphic relations at the command level: input changes that must leave every output unmoved.
 
-Each relation rewrites copies of data/'s party and page-view CSVs. features,
+Most relations rewrite copies of data/'s party and page-view CSVs. features,
 fit --format json and report, run in-process on the copies, must then write
 the same bytes as on the originals, manifests aside (they name their inputs).
-Every float sum is a math.fsum, so these relations hold to the byte.
+One reorders data/'s turnout records, which turnout must then report record
+by record in the new order. Every float sum is a math.fsum, so these
+relations hold to the byte.
 """
 
 import csv
+import json
 import random
 from datetime import date, timedelta
 
@@ -82,12 +85,23 @@ def scale_outside_windows(parties, pageviews):
     return parties, scaled
 
 
+def scale_column(table, name: str, c: int):
+    """The integer column `name` multiplied by c."""
+    i = table[0].index(name)
+    return [table[0], *([*row[:i], str(c * int(row[i])), *row[i + 1:]] for row in table[1:])]
+
+
 RELATIONS = {
     "shuffled-rows": lambda parties, pageviews: (
         shuffle_rows(parties, random.Random(1)), shuffle_rows(pageviews, random.Random(2))),
     "reordered-columns": lambda parties, pageviews: (
         reorder_columns(parties, random.Random(3)), reorder_columns(pageviews, random.Random(4))),
     "scaled-outside-windows": scale_outside_windows,
+    # every share is one correctly rounded division of the same rational, as the
+    # products and totals stay far below 2**53
+    **{f"counts-times-{c}": lambda parties, pageviews, c=c: (
+        scale_column(parties, "news_mentions", c), scale_column(pageviews, "views", c))
+       for c in (3, 7, 1000)},
 }
 
 
@@ -115,3 +129,23 @@ def test_a_wider_window_reads_the_scaled_counts(inputs, tmp_path):
         outputs(*tables, tmp_path / name, window_days=WINDOW_DAYS + 1)["features/features.csv"]
         for name, tables in (("before", inputs), ("after", scale_outside_windows(*inputs))))
     assert before != after
+
+
+def turnout_json(table, path) -> dict:
+    out = path.with_suffix(".json")
+    argv = ["turnout", "--records", write_csv(path, table), "--format", "json", "--out", str(out)]
+    assert main(argv) == 0
+    return json.loads(out.read_text())
+
+
+def test_shuffled_turnout_records_keep_their_values_in_the_new_order(tmp_path):
+    table = read_csv("demo_turnout.csv")
+    shuffled = shuffle_rows(table, random.Random(5))
+    edition = table[0].index("language_edition")
+    order = [row[edition] for row in shuffled[1:]]
+    assert order != [row[edition] for row in table[1:]]
+    original = turnout_json(table, tmp_path / "original.csv")
+    changed = turnout_json(shuffled, tmp_path / "shuffled.csv")
+    by_edition = {ratio["language_edition"]: ratio for ratio in original.pop("ratios")}
+    assert changed.pop("ratios") == [by_edition[name] for name in order]
+    assert changed == original

@@ -1,10 +1,16 @@
-"""Dataset validation rules: grouping, duplicates, the 5% notice, vote change."""
+"""Dataset validation rules: grouping, duplicates, the 5% notice, vote change,
+and the records every module passes around: immutable, and checked however
+they are made."""
 
+import copy
+import pickle
+import re
 import warnings
 from datetime import date
 
 import pytest
 
+from wikivote import features, forecast, ingest, model, stats
 from wikivote.errors import CurationWarning, ValidationError
 from wikivote.model import ElectionGroup, PartyObservation, validate_dataset, vote_change
 
@@ -150,3 +156,80 @@ class TestVoteChange:
     def test_new_party_baselined_at_zero(self):
         assert vote_change(obs(share=7.3, prev=None, new=True)) == pytest.approx(7.3)
         assert vote_change(obs(share=7.3, prev=0.0, new=True)) == pytest.approx(7.3)
+
+
+def one_of_each_record() -> dict[str, tuple]:
+    """{record class name: (an instance, one of its fields)} for every record class."""
+    day = date(2014, 5, 25)
+    group = ElectionGroup("Arcadia", day, (obs("p1"), obs("p2")))
+    term = stats.TermEstimate("News", 1.5, 0.5, 3.0, 0.01, "*")
+    fit = stats.FitResult((term,), 0.5, 0.4, 59)
+    correlation = stats.CorrelationResult(0.5, 14, 0.07, 0.2)
+    ratio = forecast.TurnoutRatio("lang01", 0.2, 0.03, False, 1.1)
+    records = (
+        (obs(), "vote_share"),
+        (group, "observations"),
+        (model.TurnoutRecord("lang01", 100, 120, 50.0, 55.0), "views_prev"),
+        (ingest.PageViewSeries("aa.wikipedia", "X", {day: 5}), "counts"),
+        (ingest.FetchPolicy(), "retry_limit"),
+        (ingest.ScenarioRow("x1", 20.0, 25.0, False, True), "news_share"),
+        (features.ModelSpec.from_id("1.1"), "id"),
+        (features.FeatureRow("p1", "Arcadia", day, 20.0, 30.0, 0, 1, 25.0, 5.0), "new_party"),
+        (features.WindowViews(70, 7, 7), "total"),
+        (term, "beta"),
+        (fit, "r2"),
+        (correlation, "r"),
+        (forecast.ModelReport(features.ModelSpec.from_id("1.0"), fit), "fit"),
+        (ratio, "outlier"),
+        (forecast.TurnoutReport(correlation, (ratio,)), "ratios"),
+        (forecast.AttentionDynamics(day, 0.1, 0.2, 0.9, 0.8), "peak_date"),
+    )
+    return {type(record).__name__: (record, field) for record, field in records}
+
+
+RECORDS = one_of_each_record()
+
+
+def test_every_named_tuple_is_a_listed_record():
+    defined = {name for module in (features, forecast, ingest, model, stats)
+               for name, value in vars(module).items()
+               if isinstance(value, type) and issubclass(value, tuple)
+               and value.__module__ == module.__name__}
+    assert defined == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_are_immutable(name):
+    record, field = RECORDS[name]
+    with pytest.raises(AttributeError):
+        setattr(record, field, getattr(record, field))
+    with pytest.raises(AttributeError):
+        record.extra = 1
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_survive_copy_and_pickle(name):
+    record, _ = RECORDS[name]
+    assert copy.copy(record) == copy.deepcopy(record) == pickle.loads(pickle.dumps(record)) == record
+
+
+# per checked record, a change its constructor rejects
+REJECTED = {
+    "PartyObservation": {"vote_share": 101.0},
+    "ElectionGroup": {"observations": (obs("p1"),)},
+    "TurnoutRecord": {"views_prev": 0},
+    "FeatureRow": {"new_party": 2},
+    "FetchPolicy": {"max_in_flight": 0},
+}
+
+
+@pytest.mark.parametrize("name", REJECTED)
+def test_replace_runs_the_constructor_checks(name):
+    record, _ = RECORDS[name]
+    change = REJECTED[name]
+    with pytest.raises((ValueError, ValidationError)) as built:
+        type(record)(**{**record._asdict(), **change})
+    with pytest.raises(type(built.value), match=f"^{re.escape(str(built.value))}$"):
+        record._replace(**change)
+    with pytest.raises(type(built.value), match=f"^{re.escape(str(built.value))}$"):
+        type(record)._make({**record._asdict(), **change}.values())
