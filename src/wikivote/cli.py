@@ -28,7 +28,7 @@ import operator
 import os
 import sys
 import warnings
-from collections.abc import Iterable, Iterator
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from datetime import date
 
@@ -202,7 +202,7 @@ def cmd_ingest(args, parser) -> None:
     _emit(ingest.render_pageviews_csv(series), args.out)
 
 
-def _feature_csv(rows: list[feats.FeatureRow], columns: list[str], **computed) -> str:
+def _feature_csv(rows: list[feats.FeatureRow], columns: Sequence[str], **computed) -> str:
     """CSV of the named FeatureRow columns, one line per row, then a column
     for each keyword: its name and its function's value of the row."""
     named = operator.attrgetter(*columns)
@@ -211,7 +211,7 @@ def _feature_csv(rows: list[feats.FeatureRow], columns: list[str], **computed) -
 
 
 def cmd_features(args) -> None:
-    _emit(_feature_csv(_load_features(args), feats.FEATURE_COLUMNS), args.out)
+    _emit(_feature_csv(_load_features(args), feats.FeatureRow._fields), args.out)
 
 
 def cmd_fit(args) -> None:
@@ -272,23 +272,18 @@ def cmd_turnout(args) -> None:
         _emit(_json(doc), args.out)
         return
 
-    lines = [
-        "edition      views_change  turnout_change  outlier  studentized",
-        "-----------  ------------  --------------  -------  -----------",
-    ]
-    for ratio in result.ratios:
-        resid = "" if ratio.studentized_residual is None else f"{ratio.studentized_residual:+.2f}"
-        lines.append(
-            f"{ratio.language_edition:<11}  {ratio.views_change:>+12.4f}  "
-            f"{ratio.turnout_change:>+14.4f}  {'yes' if ratio.outlier else 'no':<7}  {resid:>11}"
-        )
-    excluded = [r.language_edition for r in result.excluded]
-    lines.append("")
-    lines.append(
-        f"r = {corr.r:.2f} over n = {corr.n} "
-        f"(adjusted R^2 = {corr.adj_r2:.2f}, p = {corr.p_value:.4g}, {args.sides}-sided)"
-    )
-    lines.append(f"excluded outliers: {', '.join(excluded) if excluded else 'none'}")
+    # each column as wide as its widest cell, the edition column at least 11
+    header = [f"{'edition':<11}", "views_change", "turnout_change", "outlier", "studentized"]
+    body = [[r.language_edition, f"{r.views_change:+.4f}", f"{r.turnout_change:+.4f}",
+             "yes" if r.outlier else "no",
+             "" if r.studentized_residual is None else f"{r.studentized_residual:+.2f}"]
+            for r in result.ratios]
+    widths = [max(map(len, column)) for column in zip(header, *body)]
+    lines = ["  ".join(f"{cell:{align}{width}}" for cell, align, width in zip(row, "<>><>", widths))
+             for row in [header, ["-" * width for width in widths], *body]]
+    excluded = ", ".join(r.language_edition for r in result.excluded) or "none"
+    lines += ["", f"r = {corr.r:.2f} over n = {corr.n} (adjusted R^2 = {corr.adj_r2:.2f}, "
+                  f"p = {corr.p_value:.4g}, {args.sides}-sided)", f"excluded outliers: {excluded}"]
     _emit("\n".join(lines) + "\n", args.out)
 
 

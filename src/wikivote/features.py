@@ -24,7 +24,7 @@ from datetime import date, timedelta
 
 from .errors import ComputationError
 from .ingest import PageViewSeries
-from .model import Checked, Dataset, ElectionGroup, vote_change
+from .model import Checked, Dataset
 
 WINDOW_DAYS = 7
 SMALL_PARTY_THRESHOLD = 15.0
@@ -93,9 +93,6 @@ class FeatureRow(Checked, namedtuple("FeatureRow", (
         return self
 
 
-FEATURE_COLUMNS = list(FeatureRow._fields)
-
-
 class WindowViews(namedtuple("WindowViews", "total days_covered window_days")):
     __slots__ = ()
 
@@ -134,17 +131,11 @@ def _shares(counts: Mapping[str, float], what: str) -> dict[str, float]:
     return {party: 100.0 * count / total for party, count in counts.items()}
 
 
-def news_shares(group: ElectionGroup) -> dict[str, float]:
-    """Each party's share of the group's news mentions, 0-100."""
-    counts = {obs.party_id: float(obs.news_mentions) for obs in group.observations}
-    return _shares(counts, "news")
-
-
 def build_feature_rows(
     dataset: Dataset,
     window_sums: Mapping[tuple[str, date, str], WindowViews | float],
 ) -> list[FeatureRow]:
-    """One FeatureRow per observation.
+    """One FeatureRow per observation, its shares taken within its group.
 
     window_sums is keyed by observation key; each value is a WindowViews or a
     plain number of views.
@@ -159,7 +150,8 @@ def build_feature_rows(
             per_party[obs.party_id] = float(raw.total if isinstance(raw, WindowViews) else raw)
         try:
             wiki = _shares(per_party, "traffic")
-            news = news_shares(group)
+            news = _shares({obs.party_id: float(obs.news_mentions)
+                            for obs in group.observations}, "news")
         except ComputationError as exc:
             raise ComputationError(
                 f"group {group.country}/{group.election_date}: {exc}"
@@ -175,7 +167,8 @@ def build_feature_rows(
                     new_party=int(obs.is_new),
                     incumbent=int(obs.is_incumbent),
                     vote_share=obs.vote_share,
-                    vote_change=vote_change(obs),
+                    # a new party has no prior result (None or 0.0): its change is from 0
+                    vote_change=obs.vote_share - (obs.prev_vote_share or 0.0),
                 )
             )
     return rows
@@ -209,10 +202,3 @@ def subset_small(
 ) -> list[FeatureRow]:
     """Rows with vote share strictly below the threshold (exactly-at excluded)."""
     return [row for row in rows if row.vote_share < threshold]
-
-
-def relative_change(old: float, new: float) -> float:
-    """(new - old) / old; the plain ratio, not a percentage."""
-    if old <= 0.0:
-        raise ValueError(f"relative change needs a positive baseline, got {old}")
-    return (new - old) / old

@@ -8,13 +8,13 @@ from __future__ import annotations
 import math
 import warnings
 from collections import namedtuple
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from datetime import date
 from operator import attrgetter, itemgetter, mul
 
 from .errors import ComputationError, CurationWarning
 from .features import (ATTENTION_WINDOW_DAYS, MIN_FIT_DAYS, FeatureRow, ModelSpec,
-                       calendar_window, relative_change, subset_small)
+                       calendar_window, subset_small)
 from .ingest import PageViewSeries
 from .model import TurnoutRecord
 from .stats import DesignMatrix, centred, ols_fit, pearson
@@ -118,20 +118,42 @@ def predict(report: ModelReport, new_rows) -> list[float]:
     return [math.fsum(map(mul, row, beta)) for row in zip(*_design(list(new_rows), report.spec))]
 
 
-def _studentized_residuals(x: Sequence[float], y: Sequence[float]) -> list[float]:
+def _exact_studentized_residuals(x: Sequence[float], y: Sequence[float]) -> Iterator[float]:
+    """The residuals of _studentized_residuals in rationals on the same floats,
+    each rounded once, at its square root; nan where one is 0/0."""
+    from fractions import Fraction
+    from statistics import mean  # exact on Fractions
+
+    n, mean_x, mean_y = len(x), mean(map(Fraction, x)), mean(map(Fraction, y))
+    dx, dy = [Fraction(v) - mean_x for v in x], [Fraction(v) - mean_y for v in y]
+    var_x = mean(u * u for u in dx)
+    slope = mean(map(mul, dx, dy)) / var_x
+    resid = [v - slope * u for u, v in zip(dx, dy)]
+    var_e = mean(e * e for e in resid)
+    for u, e in zip(dx, resid):
+        scale = var_e * (n - 1 - u * u / var_x) / (n - 2)  # s2 * (1 - h)
+        yield math.copysign(math.sqrt(e * e / scale), e) if scale else math.nan
+
+
+def _studentized_residuals(x: Sequence[float], y: Sequence[float]) -> list[float | None]:
     """Internally studentized residuals of the straight-line fit y ~ x, n >= 3, x not constant.
 
     Closed form from centred x, with leverage h = 1/n + (x - mean x)**2 / Sxx:
     a rank test on the [1, x] design would weigh the intercept against the
     scale of x, and call a line through x of range ~1e12 rank deficient.
+    A residual or its scale s2 * (1 - h) can cancel to rounding noise (a line
+    exact up to rounding, or an x that dwarfs the rest and has h ~ 1), so each
+    is None unless it agrees to 1e-9 relative with the exact residual.
     """
     n = len(x)
     dx, dy, sxx, sxy, _ = centred(x, y)
     slope = sxy / sxx
     resid = [v - slope * u for u, v in zip(dx, dy)]
     s2 = math.fsum(map(mul, resid, resid)) / (n - 2)
-    return [e / math.sqrt(max(s2 * (1.0 - (1.0 / n + u * u / sxx)), 1e-300))
-            for u, e in zip(dx, resid)]
+    residuals = [e / math.sqrt(max(s2 * (1.0 - (1.0 / n + u * u / sxx)), 1e-300))
+                 for u, e in zip(dx, resid)]
+    return [r if abs(r - exact) <= 1e-9 * abs(exact) else None
+            for r, exact in zip(residuals, _exact_studentized_residuals(x, y))]
 
 
 def turnout_analysis(
@@ -144,8 +166,9 @@ def turnout_analysis(
     detected here. Studentized residuals are attached to the included records
     as a diagnostic to help users judge their own flags.
     """
-    changes = [(relative_change(r.views_prev, r.views_curr),
-                relative_change(r.turnout_prev, r.turnout_curr)) for r in records]
+    # plain ratios, not percentages; TurnoutRecord holds both baselines positive
+    changes = [((r.views_curr - r.views_prev) / r.views_prev,
+                (r.turnout_curr - r.turnout_prev) / r.turnout_prev) for r in records]
     included = [pair for r, pair in zip(records, changes) if not r.outlier]
     if len(included) < 3:
         raise ComputationError(

@@ -167,8 +167,3 @@ def validate_dataset(raw_rows) -> Dataset:
         for (country, election_date), members in sorted(by_group.items())
     )
     return Dataset(groups=groups)
-
-
-def vote_change(obs: PartyObservation) -> float:
-    """Vote share minus the previous result; new parties (no prior result) are baselined at 0."""
-    return obs.vote_share - (obs.prev_vote_share or 0.0)

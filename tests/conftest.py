@@ -1,10 +1,12 @@
-"""Shared fixtures: the committed demo dataset and a canned HTTP session."""
+"""Shared fixtures: the committed demo dataset, a canned HTTP session and a
+high-precision oracle for turnout's studentized residuals."""
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
 
+import mpmath
 import pytest
 
 from wikivote import features, ingest
@@ -49,6 +51,36 @@ def pageview_payload(days_views):
             for day, views in days_views
         ]
     }
+
+
+def studentized_oracle(x, y) -> list:
+    """The internally studentized residuals of the line fit y ~ x on these
+    floats, at 80 significant digits: an mpf each, or None where its scale
+    s2 * (1 - h) is not positive."""
+    with mpmath.workdps(80):
+        n = len(x)
+        x, y = [mpmath.mpf(v) for v in x], [mpmath.mpf(v) for v in y]
+        mean_x, mean_y = mpmath.fsum(x) / n, mpmath.fsum(y) / n
+        dx, dy = [v - mean_x for v in x], [v - mean_y for v in y]
+        sxx = mpmath.fsum(u * u for u in dx)
+        slope = mpmath.fsum(u * v for u, v in zip(dx, dy)) / sxx
+        resid = [v - slope * u for u, v in zip(dx, dy)]
+        s2 = mpmath.fsum(e * e for e in resid) / (n - 2)
+        scales = [s2 * (1 - mpmath.mpf(1) / n - u * u / sxx) for u in dx]
+        return [e / mpmath.sqrt(scale) if scale > 0 else None for e, scale in zip(resid, scales)]
+
+
+def assert_residuals_match_oracle(ratios) -> int:
+    """Every studentized residual of the included ratios matches the oracle to
+    1e-9 relative or is None; returns how many are not None."""
+    included = [r for r in ratios if not r.outlier]
+    oracle = studentized_oracle([r.views_change for r in included],
+                                [r.turnout_change for r in included])
+    for ratio, expected in zip(included, oracle):
+        if ratio.studentized_residual is not None:
+            assert expected is not None, ratio
+            assert ratio.studentized_residual == pytest.approx(float(expected), rel=1e-9), ratio
+    return sum(r.studentized_residual is not None for r in included)
 
 
 @pytest.fixture(scope="session")

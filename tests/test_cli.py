@@ -20,9 +20,12 @@ import responses
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA_DIR, FakeResponse, FakeSession, pageview_payload
+from conftest import (DATA_DIR, FakeResponse, FakeSession, assert_residuals_match_oracle,
+                      pageview_payload)
 from wikivote import stats
 from wikivote.cli import _atomic_write, _atomic_write_chunks, _run, main
+from wikivote.features import MODEL_IDS
+from wikivote.forecast import TurnoutRatio
 from wikivote.ingest import (MAX_BACKOFF_BASE, MAX_IN_FLIGHT, MAX_RETRY_LIMIT, FetchPolicy,
                              PageViewSeries, render_pageviews_csv)
 
@@ -119,6 +122,44 @@ class TestFit:
         assert main(fit_args(tmp_path / "out", models=models)) == 0
         capsys.readouterr()
         assert len(calls) == factorisations
+
+    def test_one_sided_p_is_half_the_two_sided_and_starred_by_it(self, tmp_path, capsys):
+        for sides in ("two", "one"):
+            assert main(fit_args(tmp_path / sides, models=",".join(MODEL_IDS),
+                                 extra=("--format", "json", "--sides", sides))) == 0
+        capsys.readouterr()
+        one, two = (json.loads((tmp_path / sides / "fit_table.json").read_text())
+                    for sides in ("one", "two"))
+        pairs = [(a, b) for x, y in zip(one, two) for a, b in zip(x["terms"], y["terms"])]
+        assert len(pairs) == 48
+        for a, b in pairs:
+            assert a["p"] == b["p"] / 2
+            assert a["stars"] == stats.significance_stars(a["p"])
+            assert [a[key] for key in ("name", "beta", "se", "t")] == [
+                b[key] for key in ("name", "beta", "se", "t")]
+        assert sum(a["stars"] != b["stars"] for a, b in pairs) == 10
+
+    def test_rank_deficient_design_fails_naming_the_column(self, tmp_path, capsys):
+        # every small party out of government: model 1.2's incumbency columns are all 0
+        with open(PARTIES, newline="", encoding="utf-8") as handle:
+            table = list(csv.DictReader(handle))
+        for row in table:
+            if float(row["vote_share"]) < 15.0:
+                row["is_incumbent"] = "0"
+        dataset = tmp_path / "parties.csv"
+        with open(dataset, "w", newline="", encoding="utf-8") as handle:
+            writer = csv.DictWriter(handle, fieldnames=list(table[0]), lineterminator="\n")
+            writer.writeheader()
+            writer.writerows(table)
+        out = tmp_path / "out"
+        assert main(["fit", "--dataset", str(dataset), "--pageviews", PAGEVIEWS,
+                     "--output-dir", str(out)]) == 3
+        assert capsys.readouterr().err == (
+            "wikivote: warning: model 1.2: column 'Incumbency' is constant\n"
+            "wikivote: warning: model 1.2: column 'News x Incumbency' is constant\n"
+            "wikivote: model 1.2: design matrix is rank deficient in column 'Incumbency'\n")
+        assert [path.name for path in out.iterdir()] == ["manifest.json"]
+        assert json.loads((out / "manifest.json").read_text())["status"] == "error"
 
     def test_unknown_model_is_usage_error(self, tmp_path, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -384,8 +425,27 @@ class TestTurnoutCommand:
                         "lang02,10,1,50.0,49.0,0\nlang03,7,8,50.0,51.0,0\nlang04,5,6,50.0,50.5,0\n")
         assert main(["turnout", "--records", str(path), "--format", "json",
                      "--out", str(out)]) == 0
-        residuals = [r["studentized_residual"] for r in json.loads(out.read_text())["ratios"]]
-        assert len(residuals) == 4 and all(math.isfinite(r) for r in residuals)
+        ratios = [TurnoutRatio(**ratio) for ratio in json.loads(out.read_text())["ratios"]]
+        # lang01's leverage rounds to 1, so rounding decides its residual: it is null
+        assert assert_residuals_match_oracle(ratios) == 3
+
+    def test_text_columns_widen_to_their_widest_cell(self, tmp_path, capsys):
+        # a 12-character edition id and an 18-character view change
+        path = tmp_path / "records.csv"
+        path.write_text(INPUT_KINDS["turnout"][0] + "zh-classical,1,1000000000000,50.0,52.0,0\n"
+                        "lang02,10,1,50.0,49.0,0\nlang03,7,8,50.0,51.0,0\nlang04,5,6,50.0,50.5,1\n")
+        assert main(["turnout", "--records", str(path)]) == 0
+        header, rule, *rows = capsys.readouterr().out.split("\n\n")[0].splitlines()
+        spans = [match.span() for match in re.finditer("-+", rule)]
+        assert [end - start for start, end in spans] == [12, 18, 14, 7, 11]
+        cells = [[line[start:end] for start, end in spans] for line in (header, *rows)]
+        assert [cell.strip() for cell in cells[1]] == [
+            "zh-classical", "+999999999999.0000", "+0.0400", "no", ""]
+        for line, row in zip((header, *rows), cells):
+            assert line == "  ".join(row)  # two spaces between columns, nothing beyond
+            assert row[0] == row[0].strip().ljust(12) and row[3] == row[3].strip().ljust(7)
+            for right in (row[1], row[2], row[4]):
+                assert right == right.strip().rjust(len(right))
 
     def test_header_only_file_is_data_error(self, tmp_path, capsys):
         path = tmp_path / "empty.csv"

@@ -1,4 +1,4 @@
-"""Window sums, share normalization, subsetting, relative change."""
+"""Window sums, share normalization and subsetting."""
 
 from datetime import date, timedelta
 
@@ -11,8 +11,6 @@ from wikivote.features import (
     FeatureRow,
     WindowViews,
     build_feature_rows,
-    news_shares,
-    relative_change,
     subset_small,
     window_sums_from_series,
     window_views,
@@ -62,14 +60,17 @@ class TestShares:
         ]
         return validate_dataset(rows)
 
-    def group(self, mentions=(600, 300, 100)):
-        return self.dataset(mentions).groups[0]
-
     def traffic_shares(self, views):
         """wiki_share by party from build_feature_rows, given plain-number window sums."""
         dataset = self.dataset()
         sums = {o.key: views[o.party_id] for o in dataset.observations if o.party_id in views}
         return {row.party_id: row.wiki_share for row in build_feature_rows(dataset, sums)}
+
+    def news_shares(self, mentions):
+        """news_share by party from build_feature_rows, given each party's news mentions."""
+        dataset = self.dataset(mentions)
+        sums = {o.key: 100.0 for o in dataset.observations}
+        return {row.party_id: row.news_share for row in build_feature_rows(dataset, sums)}
 
     def test_traffic_shares_normalize_to_100(self):
         shares = self.traffic_shares({"p1": 500.0, "p2": 250.0, "p3": 250.0})
@@ -77,7 +78,7 @@ class TestShares:
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
     def test_news_shares_normalize_to_100(self):
-        shares = news_shares(self.group())
+        shares = self.news_shares((600, 300, 100))
         assert shares["p1"] == pytest.approx(60.0)
         assert sum(shares.values()) == pytest.approx(100.0, abs=1e-9)
 
@@ -88,8 +89,9 @@ class TestShares:
     def test_zero_total_is_an_error(self):
         with pytest.raises(ComputationError, match="^group Arcadia/2014-05-25: zero total"):
             self.traffic_shares({"p1": 0.0, "p2": 0.0, "p3": 0.0})
-        with pytest.raises(ComputationError, match="zero total"):
-            news_shares(self.group(mentions=(0, 0, 0)))
+        with pytest.raises(ComputationError,
+                           match="^group Arcadia/2014-05-25: zero total: cannot compute news"):
+            self.news_shares((0, 0, 0))
 
     @given(
         counts=st.lists(st.floats(min_value=0.5, max_value=1e7), min_size=3, max_size=3),
@@ -166,29 +168,6 @@ class TestSubsetSmall:
         small = subset_small(demo_features)
         assert len(small) == 35
         assert len([r for r in demo_features if r.vote_share >= 15.0]) == 24
-
-
-class TestRelativeChange:
-    def test_plain_ratio(self):
-        assert relative_change(200.0, 300.0) == pytest.approx(0.5)
-        assert relative_change(400.0, 300.0) == pytest.approx(-0.25)
-        assert relative_change(5.0, 5.0) == 0.0
-
-    def test_zero_or_negative_baseline_rejected(self):
-        with pytest.raises(ValueError):
-            relative_change(0.0, 10.0)
-        with pytest.raises(ValueError):
-            relative_change(-5.0, 10.0)
-
-    @given(
-        old=st.floats(min_value=1e-6, max_value=1e9),
-        new=st.floats(min_value=0.0, max_value=1e9),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_inverts_cleanly(self, old, new):
-        change = relative_change(old, new)
-        # absolute tolerance scales with old: 1 + change cancels when new << old
-        assert old * (1.0 + change) == pytest.approx(new, rel=1e-9, abs=old * 1e-12)
 
 
 class TestFeatureRow:

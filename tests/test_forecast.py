@@ -9,7 +9,10 @@ from operator import mul
 import numpy as np
 import pytest
 
-from conftest import DATA_DIR
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DATA_DIR, assert_residuals_match_oracle
 from wikivote.ingest import load_turnout_csv
 from wikivote.errors import ComputationError, CurationWarning, ValidationError
 from wikivote.features import BASE_TERMS, MODEL_IDS, FeatureRow, subset_small
@@ -284,9 +287,28 @@ class TestTurnoutAnalysis:
         assert [r.language_edition for r in report.excluded] == ["wild"]
 
     def test_included_records_carry_residuals(self):
-        report = turnout_analysis(self.perfect_records())
+        report = turnout_analysis(load_turnout_csv(DATA_DIR / "demo_turnout.csv"))
         for ratio in report.ratios:
-            assert ratio.studentized_residual is not None
+            assert (ratio.studentized_residual is None) == ratio.outlier
+
+    def test_exact_line_leaves_every_residual_undefined(self):
+        # y is x / 2 to the last bit: no scatter about the line, so each residual is 0/0
+        ratios = turnout_analysis(self.perfect_records()).ratios
+        assert all(Fraction(r.views_change) == 2 * Fraction(r.turnout_change) for r in ratios)
+        assert [r.studentized_residual for r in ratios] == [None] * 4
+
+    @pytest.mark.parametrize("case, written", [("data", 12), ("view-change-of-1e12", 11),
+                                               ("line-exact-up-to-rounding", 0)])
+    def test_residuals_match_the_oracle_or_are_undefined(self, case, written):
+        # a residual that rounding decides is None: lang01's leverage rounds to 1 beside a
+        # view change of 1e12, and y = x / 3 leaves only the rounding of each x and y as scatter
+        records = load_turnout_csv(DATA_DIR / "demo_turnout.csv")
+        if case == "view-change-of-1e12":
+            records[0] = records[0]._replace(views_prev=1, views_curr=10**12)
+        elif case == "line-exact-up-to-rounding":
+            records = [turnout_record(f"lang{i:02d}", 100, views, 30.0, 30.0 + (views - 100) / 10)
+                       for i, views in enumerate((110, 130, 150, 180, 200))]
+        assert assert_residuals_match_oracle(turnout_analysis(records).ratios) == written
 
     def test_studentized_residuals_match_hat_matrix_oracle(self):
         report = turnout_analysis(load_turnout_csv(DATA_DIR / "demo_turnout.csv"))
@@ -318,6 +340,28 @@ class TestTurnoutAnalysis:
             expected = [e / math.sqrt(max(s2 * (1.0 - h), 1e-300)) for e, h in zip(resid, hat)]
             assert _studentized_residuals(x, y) == expected
 
+    def test_changes_are_plain_ratios(self):
+        records = [turnout_record("a", 200, 300, 40.0, 60.0),
+                   turnout_record("b", 400, 300, 80.0, 60.0),
+                   turnout_record("c", 5, 5, 50.0, 50.0)]
+        ratios = turnout_analysis(records).ratios
+        assert [r.views_change for r in ratios] == pytest.approx([0.5, -0.25, 0.0])
+        assert [r.turnout_change for r in ratios] == pytest.approx([0.5, -0.25, 0.0])
+        assert ratios[2].views_change == ratios[2].turnout_change == 0.0
+
+    @given(
+        old=st.floats(min_value=1e-6, max_value=1e9),
+        new=st.floats(min_value=0.0, max_value=1e9),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_changes_invert_cleanly(self, old, new):
+        records = [turnout_record("a", old, new, 40.0, 60.0),
+                   turnout_record("b", 400, 300, 80.0, 60.0),
+                   turnout_record("c", 200, 300, 50.0, 50.0)]
+        change = turnout_analysis(records).ratios[0].views_change
+        # absolute tolerance scales with old: 1 + change cancels when new << old
+        assert old * (1.0 + change) == pytest.approx(new, rel=1e-9, abs=old * 1e-12)
+
     def test_needs_three_included_records(self):
         records = self.perfect_records()[:2] + [
             turnout_record("x", 100, 200, 50.0, 60.0, outlier=True)
@@ -345,6 +389,8 @@ class TestTurnoutAnalysis:
     def test_record_validation(self):
         with pytest.raises(ValidationError):
             turnout_record("x", 0, 100, 50.0, 50.0)
+        with pytest.raises(ValidationError):
+            turnout_record("x", -5, 100, 50.0, 50.0)
         with pytest.raises(ValidationError):
             turnout_record("x", 100, 100, 0.0, 50.0)
         # no records at all is the general "at least 3" rule, a data error

@@ -2,9 +2,12 @@
 
 Most relations rewrite copies of data/'s party and page-view CSVs. features,
 fit --format json and report, run in-process on the copies, must then write
-the same bytes as on the originals, manifests aside (they name their inputs).
-One reorders data/'s turnout records, which turnout must then report record
-by record in the new order. Every float sum is a math.fsum, so these
+the same bytes as on the originals, manifests aside (they name their inputs),
+and predict must write the same predictions where only rows outside every
+window changed. attention must write the same rates when page-view rows
+more than twice --window-days from the election are added or dropped. One
+relation reorders data/'s turnout records, which turnout must then report
+record by record in the new order. Every float sum is a math.fsum, so these
 relations hold to the byte.
 """
 
@@ -17,7 +20,7 @@ import pytest
 
 from conftest import DATA_DIR
 from wikivote.cli import main
-from wikivote.features import WINDOW_DAYS
+from wikivote.features import ATTENTION_WINDOW_DAYS, WINDOW_DAYS
 
 
 def read_csv(name: str) -> list[list[str]]:
@@ -129,6 +132,61 @@ def test_a_wider_window_reads_the_scaled_counts(inputs, tmp_path):
         outputs(*tables, tmp_path / name, window_days=WINDOW_DAYS + 1)["features/features.csv"]
         for name, tables in (("before", inputs), ("after", scale_outside_windows(*inputs))))
     assert before != after
+
+
+SCENARIO = [["party_id", "news_share", "wiki_share", "new_party", "incumbent"],
+            ["x1", "20.0", "25.0", "0", "1"], ["x2", "5.5", "12.0", "1", "0"]]
+
+
+def predictions(parties, pageviews, out, model) -> bytes:
+    out.mkdir()
+    argv = ["predict", "--dataset", write_csv(out / "parties.csv", parties),
+            "--pageviews", write_csv(out / "pageviews.csv", pageviews),
+            "--scenario", write_csv(out / "scenario.csv", SCENARIO), "--model", model,
+            "--out", str(out / "predict.csv")]
+    assert main(argv) == 0
+    return (out / "predict.csv").read_bytes()
+
+
+@pytest.mark.parametrize("model", ["1.1", "2.3"])
+def test_predictions_ignore_rows_outside_every_window(inputs, tmp_path, model):
+    original = predictions(*inputs, tmp_path / "original", model)
+    assert original.count(b"\n") == 3
+    assert predictions(*scale_outside_windows(*inputs), tmp_path / "changed", model) == original
+
+
+def attention_rates(pageviews, out, window_days) -> bytes:
+    argv = ["attention", "--pageviews", write_csv(out.with_suffix(".csv"), pageviews),
+            "--election-date", "2014-05-25", "--window-days", str(window_days),
+            "--output-dir", str(out)]
+    assert main(argv) == 0
+    return (out / "attention_dynamics.json").read_bytes()
+
+
+@pytest.mark.parametrize("window_days", [ATTENTION_WINDOW_DAYS, 10])
+def test_attention_rates_ignore_rows_beyond_twice_the_window(tmp_path, capsys, window_days):
+    # the fit windows hang off a peak inside the search window, so they end
+    # within 2 * window_days of the election
+    pageviews = read_csv("demo_general_pages.csv")
+    election = date(2014, 5, 25)
+    offsets = [(date.fromisoformat(row[2]) - election).days for row in pageviews[1:]]
+    near = [pageviews[0], *(row for row, k in zip(pageviews[1:], offsets)
+                            if abs(k) <= 2 * window_days)]
+    # a view a day on window_days days past both ends of the data and of 2 * window_days
+    first = max(2 * window_days, *map(abs, offsets)) + 1
+    pages = dict.fromkeys((project, title) for project, title, *_ in pageviews[1:])
+    added = [*pageviews, *([project, title, str(election + timedelta(days=sign * k)), "1"]
+                           for project, title in pages for sign in (-1, 1)
+                           for k in range(first, first + window_days))]
+    tables = {"original": pageviews, "dropped": near, "added": added}
+    rates = {name: attention_rates(table, tmp_path / name, window_days)
+             for name, table in tables.items()}
+    capsys.readouterr()
+    assert b'"status": "ok"' in rates["original"]
+    assert rates["dropped"] == rates["added"] == rates["original"]
+    # the relation is not empty: rows were added, and at window_days 10 dropped
+    assert len(added) > len(pageviews)
+    assert (len(near) < len(pageviews)) == (window_days == 10)
 
 
 def turnout_json(table, path) -> dict:

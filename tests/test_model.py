@@ -12,7 +12,7 @@ import pytest
 
 from wikivote import features, forecast, ingest, model, stats
 from wikivote.errors import CurationWarning, ValidationError
-from wikivote.model import ElectionGroup, PartyObservation, validate_dataset, vote_change
+from wikivote.model import ElectionGroup, PartyObservation, validate_dataset
 
 
 def obs(party_id="p1", country="Arcadia", when=date(2014, 5, 25), share=20.0,
@@ -146,6 +146,13 @@ class TestValidateDataset:
         with warnings.catch_warnings():
             warnings.simplefilter("error", CurationWarning)
             validate_dataset(rows)
+
+
+def vote_change(party: PartyObservation) -> float:
+    """The vote_change that features.build_feature_rows gives party, beside one other."""
+    dataset = validate_dataset([party, obs("other")])
+    rows = features.build_feature_rows(dataset, {o.key: 1.0 for o in dataset.observations})
+    return next(row.vote_change for row in rows if row.party_id == party.party_id)
 
 
 class TestVoteChange:
