@@ -19,6 +19,7 @@ import math
 import operator
 import os
 import re
+import sys
 import time
 from array import array
 from bisect import bisect_left
@@ -469,70 +470,102 @@ def load_pageviews_csv(path) -> list[PageViewSeries]:
     may arrive in any date order, and a page's rows need not be contiguous;
     PageViewSeries sorts a page whose days went out of order. Negative
     counts, repeated days and malformed rows fail with their line number.
+    A file of _SPLIT_FLOOR bytes or more may be parsed in two processes
+    (ingest_split); the result and every error are those of one process.
     """
-    # per page: [days, counts, latest day, set of its days once they went out of order]
-    pages: dict[tuple[str, str], list] = {}
-    # one date object per distinct date string: a file repeats each day once per page
-    dates: dict[str, date] = {}
-    project = title = None
-    days = counts = latest = seen = None
+    pages = None
     with _table(path, PAGEVIEWS_SCHEMA, "page-view") as (reader, indices):
-        # indexed in place: per row, cheaper than the itemgetter of read_table
-        i_project, i_title, i_day, i_views = indices
-        for row in reader:
-            try:
-                row_project, row_title, day_text, views_text = (
-                    row[i_project], row[i_title], row[i_day], row[i_views])
-            except IndexError:  # a blank row, or one shorter than the header
-                if not row:
-                    continue
-                raise _short_row(reader.line_num, "page-view") from None
-            try:
-                day = dates.get(day_text)
-                if day is None:
-                    day = dates[day_text] = iso_date(day_text)
-                # plain ASCII digits without a call or a regex per row; the rest go to ascii_int
-                views = (int(views_text) if views_text.isdigit() and views_text.isascii()
-                         else ascii_int(views_text))
-            except ValueError:
-                # the schema's converters raise the RowError read_table would, naming the
-                # column, or read what int() refused, such as a count padded past 4 300 zeros
-                _, _, day, views = _convert_cells(
-                    reader.line_num, (row_project, row_title, day_text, views_text),
-                    PAGEVIEWS_SCHEMA, "page-view")
-            if row_title != title or row_project != project:
-                if not row_project or not row_title:
-                    raise RowError(reader.line_num, "empty wiki_project or page_title")
-                if days is not None:
-                    pages[project, title][2:] = latest, seen
-                project, title = row_project, row_title
-                days, counts, latest, seen = pages.setdefault(
-                    (project, title), [[], array("q"), date.min, None])
-                add_day, add_count = days.append, counts.append
-            if views < 0:
-                raise RowError(reader.line_num, f"negative view count {views}")
-            if day > latest:
-                latest = day
-                if seen is not None:
-                    seen.add(day)
-            else:
-                if seen is None:
-                    seen = set(days)
-                if day in seen:
-                    raise RowError(reader.line_num, f"duplicate day {day} for {project}/{title}")
-                seen.add(day)
-            try:
-                add_count(views)
-            except OverflowError:  # ascii_int names the cell, as read_table would
-                _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
-                               PAGEVIEWS_SCHEMA, "page-view")
-                raise
-            add_day(day)
-    if days is not None:
-        pages[project, title][2:] = latest, seen
+        if _may_split(path):
+            from .ingest_split import load_split
+
+            pages = load_split(path, indices)
+        if pages is None:
+            pages = {}
+            # one date object per distinct date string: a file repeats each day once per page
+            _fill_pages(reader, indices, pages, {})
     return [PageViewSeries._make((*key, tuple(days), counts)) if seen is None
             else PageViewSeries(*key, dict(zip(days, counts)))
             for key, (days, counts, _, seen) in sorted(pages.items())]
+
+
+# the smallest page-view file parsed in two processes: below about 3 MiB,
+# forking and merging cost more than the second CPU saves
+_SPLIT_FLOOR = 4 << 20
+
+
+def _may_split(path) -> bool:
+    """Whether the file is large enough, and this process able, to fork a second
+    parser: fork exists, two CPUs are usable and no second thread runs."""
+    threading = sys.modules.get("threading")
+    return (os.path.getsize(path) >= _SPLIT_FLOOR
+            and hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and len(os.sched_getaffinity(0)) >= 2
+            and (threading is None or threading.active_count() == 1))
+
+
+def _fill_pages(reader, indices, pages: dict, dates: dict) -> None:
+    """Append each page-view row of reader to its page's columns in pages.
+
+    pages maps (wiki_project, page_title) to [days, counts, latest day, set of
+    the page's days once they went out of order]; dates maps each date string
+    read to its one date object. indices are the row indices of the
+    PAGEVIEWS_SCHEMA columns. A bad row raises RowError with reader's line.
+    """
+    project = title = None
+    days = counts = latest = seen = None
+    # indexed in place: per row, cheaper than the itemgetter of read_table
+    i_project, i_title, i_day, i_views = indices
+    for row in reader:
+        try:
+            row_project, row_title, day_text, views_text = (
+                row[i_project], row[i_title], row[i_day], row[i_views])
+        except IndexError:  # a blank row, or one shorter than the header
+            if not row:
+                continue
+            raise _short_row(reader.line_num, "page-view") from None
+        try:
+            day = dates.get(day_text)
+            if day is None:
+                day = dates[day_text] = iso_date(day_text)
+            # plain ASCII digits without a call or a regex per row; the rest go to ascii_int
+            views = (int(views_text) if views_text.isdigit() and views_text.isascii()
+                     else ascii_int(views_text))
+        except ValueError:
+            # the schema's converters raise the RowError read_table would, naming the
+            # column, or read what int() refused, such as a count padded past 4 300 zeros
+            _, _, day, views = _convert_cells(
+                reader.line_num, (row_project, row_title, day_text, views_text),
+                PAGEVIEWS_SCHEMA, "page-view")
+        if row_title != title or row_project != project:
+            if not row_project or not row_title:
+                raise RowError(reader.line_num, "empty wiki_project or page_title")
+            if days is not None:
+                pages[project, title][2:] = latest, seen
+            project, title = row_project, row_title
+            days, counts, latest, seen = pages.setdefault(
+                (project, title), [[], array("q"), date.min, None])
+            add_day, add_count = days.append, counts.append
+        if views < 0:
+            raise RowError(reader.line_num, f"negative view count {views}")
+        if day > latest:
+            latest = day
+            if seen is not None:
+                seen.add(day)
+        else:
+            if seen is None:
+                seen = set(days)
+            if day in seen:
+                raise RowError(reader.line_num, f"duplicate day {day} for {project}/{title}")
+            seen.add(day)
+        try:
+            add_count(views)
+        except OverflowError:  # ascii_int names the cell, as read_table would
+            _convert_cells(reader.line_num, (row_project, row_title, day_text, views_text),
+                           PAGEVIEWS_SCHEMA, "page-view")
+            raise
+        add_day(day)
+    if days is not None:
+        pages[project, title][2:] = latest, seen
 
 
 def render_pageviews_csv(series_list: list[PageViewSeries]) -> str:

@@ -165,13 +165,14 @@ class TestFitModel:
 
 
 def exact_least_squares(columns, y):
-    """The solution of the normal equations X'X b = X'y in exact rationals."""
+    """In exact rationals: the solution b of the normal equations X'X b = X'y,
+    and the diagonal of (X'X)^-1."""
     x = [[Fraction(v) for v in column] for column in columns]
     y = [Fraction(v) for v in y]
     k = len(x)
-    # the augmented system [X'X | X'y], reduced by Gauss-Jordan elimination
+    # the augmented system [X'X | X'y | I], reduced by Gauss-Jordan elimination
     system = [[sum(map(mul, x[i], x[j])) for j in range(k)] + [sum(map(mul, x[i], y))]
-              for i in range(k)]
+              + [Fraction(i == j) for j in range(k)] for i in range(k)]
     for i in range(k):
         pivot = next(r for r in range(i, k) if system[r][i] != 0)
         system[i], system[pivot] = system[pivot], system[i]
@@ -179,7 +180,8 @@ def exact_least_squares(columns, y):
             if r != i:
                 factor = system[r][i] / system[i][i]
                 system[r] = [a - factor * b for a, b in zip(system[r], system[i])]
-    return [system[i][k] / system[i][i] for i in range(k)]
+    return ([system[i][k] / system[i][i] for i in range(k)],
+            [system[i][k + 1 + i] / system[i][i] for i in range(k)])
 
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
@@ -187,9 +189,25 @@ def test_betas_match_the_exact_normal_equations(demo_features, model_id):
     # the worst beta over the eight models on data/ is 1.5e-13 relative from the rationals
     spec = ModelSpec.from_id(model_id)
     x, y = build_design_matrix(demo_features, spec)
-    exact = exact_least_squares(x.columns, y)
+    exact, _ = exact_least_squares(x.columns, y)
     for term, beta in zip(fit_model(demo_features, spec).fit.terms, exact):
         assert abs(Fraction(term.beta) - beta) <= Fraction(1, 10**12) * abs(beta), term.name
+
+
+@pytest.mark.parametrize("model_id", MODEL_IDS)
+def test_standard_errors_match_the_exact_inverse_and_residuals(demo_features, model_id):
+    # se_j = sqrt((X'X)^-1_jj * RSS / (n - k)), compared squared so the bound stays exact.
+    # On data/ the QR SEs are at most 4 units of roundoff (u = 2**-53) off, and SEs from the
+    # normal equations solved in floats up to 27-56 u: 16 u tells them apart, 1e-12 does not
+    spec = ModelSpec.from_id(model_id)
+    x, y = build_design_matrix(demo_features, spec)
+    betas, inverse_diagonal = exact_least_squares(x.columns, y)
+    fitted = [sum(map(mul, map(Fraction, row), betas)) for row in zip(*x.columns)]
+    rss = sum((Fraction(value) - fit) ** 2 for value, fit in zip(y, fitted))
+    low, high = (1 - Fraction(16, 2**53)) ** 2, (1 + Fraction(16, 2**53)) ** 2
+    for term, diagonal in zip(fit_model(demo_features, spec).fit.terms, inverse_diagonal):
+        variance = diagonal * rss / (len(y) - len(betas))
+        assert low * variance <= Fraction(term.se) ** 2 <= high * variance, term.name
 
 
 class TestPredict:

@@ -1,5 +1,6 @@
 """Commands other than ingest start without the HTTP client or a thread pool,
-no command needs numpy, the parser and features load no fitting code, and
+no command needs numpy, a process pool or pickle, a demo-size input loads
+no two-process parser, the parser and features load no fitting code, and
 the standard-library modules that only writing or fetching needs load only
 in the commands that write or fetch.
 
@@ -25,7 +26,11 @@ SRC = DATA_DIR.parent / "src"
 NOT_LOADED = ("requests", "urllib3", "concurrent.futures.thread", "scipy")
 # the fitting code: only the commands that fit, correlate or predict load it
 FITTING = ("wikivote.forecast", "wikivote.stats")
-WATCHED = NOT_LOADED + ("numpy",) + FITTING
+# the two-process page-view parse forks and sends marshalled columns through a pipe: it
+# needs no process pool or pickle, and no demo-size file is large enough to load it
+NO_PROCESS_POOL = ("wikivote.ingest_split", "multiprocessing", "concurrent.futures.process",
+                   "pickle")
+WATCHED = NOT_LOADED + ("numpy",) + FITTING + NO_PROCESS_POOL
 
 SCRIPT = """
 import json, sys
@@ -88,6 +93,11 @@ def test_commands_other_than_ingest_load_no_http_client_or_thread_pool(seen):
             for step, (_, names) in seen.items()} == {step: [] for step in codes}
 
 
+def test_no_command_loads_the_split_parser_a_process_pool_or_pickle(seen):
+    assert {step: [name for name in names if name in NO_PROCESS_POOL]
+            for step, (_, names) in seen.items()} == {step: [] for step in seen}
+
+
 def test_every_command_runs_without_numpy(seen):
     assert {step: "numpy" in names for step, (_, names) in seen.items()} == dict.fromkeys(
         seen, False)
@@ -140,3 +150,43 @@ def test_bare_start_loads_json_and_tempfile_only_for_a_command_that_writes(tmp_p
     seen = ast.literal_eval(proc.stdout.splitlines()[-1])
     assert seen == {"build_parser": [0, []], "help": [0, []], "usage_error": [2, []],
                     "features": [0, []], "fit": [0, ["json", "tempfile"]]}
+
+
+LARGE_SCRIPT = """
+import sys
+from wikivote.cli import main
+
+views, out, watched = sys.argv[1], sys.argv[2], sys.argv[3].split(",")
+code = main(["attention", "--pageviews", views, "--election-date", "2014-05-25",
+             "--output-dir", out])
+print(repr([code, [name for name in watched if name in sys.modules]]))
+"""
+
+
+def test_a_file_above_the_split_floor_loads_no_process_pool_or_pickle(tmp_path):
+    from datetime import date, timedelta
+
+    from wikivote.ingest import _SPLIT_FLOOR
+
+    days = [date(2014, 1, 1) + timedelta(days=i) for i in range(250)]
+    election = date(2014, 5, 25)
+    row_bytes = len("aa.wikipedia,Page 0000,2014-01-01,10000\n")
+    views = tmp_path / "views.csv"
+    with open(views, "w", encoding="utf-8") as handle:
+        handle.write("wiki_project,page_title,date,views\n")
+        for page in range(_SPLIT_FLOOR // (row_bytes * len(days)) + 10):
+            handle.writelines(
+                f"aa.wikipedia,Page {page:04d},{day},"
+                f"{1000 + int(50000 * 0.9 ** abs((day - election).days))}\n" for day in days)
+    assert views.stat().st_size > _SPLIT_FLOOR
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", LARGE_SCRIPT, str(views), str(tmp_path / "out"),
+         ",".join(NO_PROCESS_POOL)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    split = (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+             and len(os.sched_getaffinity(0)) >= 2)
+    assert ast.literal_eval(proc.stdout.splitlines()[-1]) == [
+        0, ["wikivote.ingest_split"] if split else []]

@@ -1,6 +1,9 @@
 """Acquisition paths: REST client against a scripted session, CSV loaders."""
 
 import csv
+import os
+import signal
+import threading
 import tracemalloc
 from array import array
 from collections.abc import Mapping
@@ -8,10 +11,11 @@ from datetime import date, timedelta
 
 import pytest
 import requests
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA_DIR, FakeResponse, FakeSession, pageview_payload
+from wikivote import ingest, ingest_split
 from wikivote.errors import (
     MissingPageError,
     NetworkError,
@@ -333,7 +337,170 @@ class TestFetchMany:
                 FetchPolicy(retry_limit=value)
 
 
+def open_fds() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+def child_line(path) -> int:
+    """The first line of the file at path that the split gives the child."""
+    with open(path, "rb") as handle:
+        _, cut = ingest_split._bounds(handle.fileno(), os.fstat(handle.fileno()).st_size)
+        return handle.read(cut).count(b"\n") + 1
+
+
+def write_views(path, rows) -> None:
+    """A page-view file of (title, day, views) rows, all on aa.wikipedia."""
+    path.write_text("wiki_project,page_title,date,views\n" + "".join(
+        f"aa.wikipedia,{title},{day},{views}\n" for title, day, views in rows))
+
+
 class TestPageviewsCsv:
+    """Each case runs in one process here, and again in TestPageviewsCsvSplit."""
+
+    split = False
+
+    @pytest.fixture(autouse=True)
+    def forks(self, monkeypatch):
+        """The loader's path forced; yields the list of forks made, and checks
+        that no child process and no file descriptor is left behind."""
+        if self.split:
+            if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+                    and len(os.sched_getaffinity(0)) >= 2):
+                pytest.skip("the split needs os.fork and two usable CPUs")
+            monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 0)
+        else:
+            monkeypatch.setattr(ingest, "_SPLIT_FLOOR", 2**63)
+        forks, fork = [], os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        fds = open_fds()
+        yield forks
+        if hasattr(os, "fork"):
+            with pytest.raises(ChildProcessError):
+                os.waitpid(-1, os.WNOHANG)
+        assert open_fds() == fds
+
+    def test_page_spanning_the_cut_is_one_series(self, tmp_path, forks):
+        start = date(2014, 1, 1)
+        rows = [("X", start + timedelta(days=i), 1000 + i) for i in range(60)]
+        rows += [("Y", start + timedelta(days=i), 5 + i) for i in range(20)]
+        path = tmp_path / "v.csv"
+        write_views(path, rows)
+        assert 10 < child_line(path) < 50  # the cut falls inside X's rows
+        x, y = load_pageviews_csv(path)
+        assert (x.page_title, list(x.counts)) == ("X", [1000 + i for i in range(60)])
+        assert x.days == tuple(start + timedelta(days=i) for i in range(60))
+        assert all(x_day is y_day for x_day, y_day in zip(x.days, y.days))
+        assert len(forks) == self.split
+
+    @pytest.mark.parametrize("part", ["parent", "child"])
+    def test_malformed_row_in_either_part_names_its_line(self, tmp_path, forks, part):
+        rows = [("X", date(2014, 1, 1) + timedelta(days=i), 100 + i) for i in range(60)]
+        bad = 10 if part == "parent" else 55  # a row index; the row is on line bad + 2
+        rows[bad] = ("X", rows[bad][1], "1e3")
+        path = tmp_path / "v.csv"
+        write_views(path, rows)
+        assert (bad + 2 < child_line(path)) == (part == "parent")
+        with pytest.raises(RowError) as excinfo:
+            load_pageviews_csv(path)
+        assert excinfo.value.line == bad + 2
+        assert str(excinfo.value) == (
+            f"line {bad + 2}: malformed page-view row: views: "
+            "not an integer of ASCII digits: '1e3'")
+        assert len(forks) == self.split
+
+    def test_duplicate_day_across_the_cut_names_the_later_line(self, tmp_path, forks):
+        start = date(2014, 1, 1)
+        rows = [("X", start + timedelta(days=i), 100 + i) for i in range(40)]
+        rows += [("Y", start + timedelta(days=i), 7) for i in range(40)]
+        rows.insert(70, ("X", start + timedelta(days=12), 3))
+        path = tmp_path / "v.csv"
+        write_views(path, rows)
+        assert child_line(path) < 72
+        with pytest.raises(RowError, match="^line 72: duplicate day 2014-01-13 for aa.wikipedia/X$"):
+            load_pageviews_csv(path)
+        assert len(forks) == self.split
+
+    @pytest.mark.parametrize("where", ["across_the_cut", "in_the_child"])
+    def test_page_going_back_in_time_loads_sorted(self, tmp_path, forks, where):
+        start = date(2014, 1, 1)
+        rows = [("X", start + timedelta(days=i), 100 + i) for i in range(2, 40)]
+        rows += [("Y", start + timedelta(days=i), 7) for i in range(40)]
+        if where == "across_the_cut":  # X's first two days come after the cut
+            rows += [("X", start + timedelta(days=i), 100 + i) for i in range(2)]
+        else:  # X's last two days come after the cut, in reverse
+            rows = rows[2:] + [("X", start + timedelta(days=i), 100 + i) for i in (41, 40, 1, 0)]
+        path = tmp_path / "v.csv"
+        write_views(path, rows)
+        assert child_line(path) < 60
+        x, _ = load_pageviews_csv(path)
+        assert x.days == tuple(sorted(x.days))
+        assert list(x.counts) == [100 + (day - start).days for day in x.days]
+        assert len(forks) == self.split
+
+    def test_interrupt_in_this_process_propagates_and_stops_the_child(self, tmp_path, forks,
+                                                                    monkeypatch):
+        def interrupted(reader, *args):
+            if os.getpid() == parent:
+                raise KeyboardInterrupt
+            return fill(reader, *args)
+
+        parent, fill = os.getpid(), ingest._fill_pages
+        monkeypatch.setattr(ingest, "_fill_pages", interrupted)
+        monkeypatch.setattr(ingest_split, "_fill_pages", interrupted)
+        path = tmp_path / "v.csv"
+        write_views(path, [("X", date(2014, 1, 1) + timedelta(days=i), i) for i in range(60)])
+        with pytest.raises(KeyboardInterrupt):
+            load_pageviews_csv(path)
+        assert len(forks) == self.split
+
+    def test_ignored_sigchld_leaves_the_result_to_one_process(self, tmp_path, forks):
+        # the kernel reaps the child unseen, so its exit status is unknown
+        rows = [("X", date(2014, 1, 1) + timedelta(days=i), 100 + i) for i in range(60)]
+        path = tmp_path / "v.csv"
+        write_views(path, rows)
+        handler = signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+        try:
+            (series,) = load_pageviews_csv(path)
+        finally:
+            signal.signal(signal.SIGCHLD, handler)
+        assert list(series.counts) == [100 + i for i in range(60)]
+        assert len(forks) == self.split
+
+    def test_last_line_without_a_newline_is_read(self, tmp_path, forks):
+        rows = [("X", date(2014, 1, 1) + timedelta(days=i), 100 + i) for i in range(60)]
+        path = tmp_path / "v.csv"
+        write_views(path, rows)
+        path.write_bytes(path.read_bytes().rstrip(b"\n"))
+        (series,) = load_pageviews_csv(path)
+        assert list(series.counts) == [100 + i for i in range(60)]
+        assert len(forks) == self.split
+
+    def test_file_with_a_quote_is_parsed_in_one_process(self, tmp_path, forks):
+        path = tmp_path / "v.csv"
+        path.write_text("wiki_project,page_title,date,views\n" + "".join(
+            f'aa.wikipedia,"B, with comma",2014-05-{day},{day}\n' for day in range(10, 30)))
+        (series,) = load_pageviews_csv(path)
+        assert series.page_title == "B, with comma" and len(series.days) == 20
+        assert forks == []
+
+    def test_live_second_thread_keeps_one_process(self, tmp_path, forks, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked while a second thread ran")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        rows = [("X", date(2014, 1, 1) + timedelta(days=i), 100 + i) for i in range(60)]
+        path = tmp_path / "v.csv"
+        write_views(path, rows)
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            (series,) = load_pageviews_csv(path)
+        finally:
+            stop.set()
+            thread.join()
+        assert list(series.counts) == [100 + i for i in range(60)]
+
     def test_round_trip(self, tmp_path, demo_series):
         out = tmp_path / "views.csv"
         out.write_text(render_pageviews_csv(demo_series), encoding="utf-8")
@@ -478,7 +645,11 @@ class TestPageviewsCsv:
         st.tuples(st.sampled_from(PAGES), st.sampled_from(DAYS), st.integers(0, 10**9)),
         unique_by=lambda row: row[:2], max_size=40,
     ))
-    @settings(max_examples=80, deadline=None)
+    # the class's per-test fixture holds for every example: one forced path, one leak
+    # check; the one-process class and its split subclass both run every example
+    @settings(max_examples=80, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture,
+                                     HealthCheck.differing_executors])
     def test_matches_a_dictreader_reference(self, tmp_path_factory, rows):
         # rows come in any order: pages interleave and each date string recurs across pages
         path = tmp_path_factory.mktemp("views") / "v.csv"
@@ -503,6 +674,12 @@ class TestPageviewsCsv:
         assert len({id(day) for s in loaded for day in s.daily}) == len(
             {day for _, day, _ in rows}
         )
+
+
+class TestPageviewsCsvSplit(TestPageviewsCsv):
+    """Every page-view case again, with the split forced for any file it can cut."""
+
+    split = True
 
 
 class TestPartyCsv:
